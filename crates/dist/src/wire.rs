@@ -375,6 +375,15 @@ impl Encode for SimError {
                 "error kind=forge-by-correct process={} round={}",
                 process.0, round.0
             ),
+            SimError::RoutingCount {
+                sender,
+                round,
+                expected,
+                got,
+            } => format!(
+                "error kind=routing-count sender={} round={} expected={expected} got={got}",
+                sender.0, round.0
+            ),
             SimError::DecisionChanged { process, round } => format!(
                 "error kind=decision-changed process={} round={}",
                 process.0, round.0
@@ -421,6 +430,12 @@ impl Decode for SimError {
             "forge-by-correct" => Ok(SimError::ForgeByCorrect {
                 process: process("process")?,
                 round: round("round")?,
+            }),
+            "routing-count" => Ok(SimError::RoutingCount {
+                sender: process("sender")?,
+                round: round("round")?,
+                expected: rec.parse_field("expected")?,
+                got: rec.parse_field("got")?,
             }),
             "decision-changed" => Ok(SimError::DecisionChanged {
                 process: process("process")?,
@@ -851,7 +866,7 @@ mod tests {
     fn sim_error(rng: &mut SimRng) -> SimError {
         let p = ProcessId(rng.gen_index(0, 9));
         let r = Round(rng.gen_range(1, 9));
-        match rng.gen_index(0, 9) {
+        match rng.gen_index(0, 10) {
             0 => SimError::InvalidResilience {
                 n: rng.gen_index(0, 9),
                 t: rng.gen_index(0, 9),
@@ -884,6 +899,12 @@ mod tests {
             7 => SimError::ForgeByCorrect {
                 process: p,
                 round: r,
+            },
+            8 => SimError::RoutingCount {
+                sender: p,
+                round: r,
+                expected: rng.gen_index(0, 99),
+                got: rng.gen_index(0, 99),
             },
             _ => SimError::BehaviorMismatch { process: p },
         }

@@ -50,6 +50,18 @@ pub enum SimError {
         /// The round of the offending routing decision.
         round: Round,
     },
+    /// The fault model decided a broadcast fan-out with a number of
+    /// routings other than one per receiver.
+    RoutingCount {
+        /// The broadcasting sender.
+        sender: ProcessId,
+        /// The round of the fan-out.
+        round: Round,
+        /// The number of receivers (routings required).
+        expected: usize,
+        /// The number of routings the model returned.
+        got: usize,
+    },
     /// A protocol changed its decision after deciding (decisions are
     /// irrevocable).
     DecisionChanged {
@@ -114,6 +126,15 @@ impl fmt::Display for SimError {
                     "fault model forged a message from correct process {process} in {round}"
                 )
             }
+            SimError::RoutingCount {
+                sender,
+                round,
+                expected,
+                got,
+            } => write!(
+                f,
+                "fault model decided {got} routings for {expected} receivers of {sender} in {round}"
+            ),
             SimError::DecisionChanged { process, round } => {
                 write!(f, "{process} changed its decision at the start of {round}")
             }

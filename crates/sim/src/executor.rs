@@ -302,11 +302,14 @@ where
                     // inlined — inside its own `route_broadcast` body).
                     routings.clear();
                     model.route_broadcast(view!(round), sender, &mask, &payload, &mut routings);
-                    debug_assert_eq!(
-                        routings.len(),
-                        mask.len(),
-                        "route_broadcast must decide exactly one routing per mask bit"
-                    );
+                    if routings.len() != mask.len() {
+                        return Err(SimError::RoutingCount {
+                            sender,
+                            round,
+                            expected: mask.len(),
+                            got: routings.len(),
+                        });
+                    }
                     for (receiver, routing) in mask.iter().zip(routings.drain(..)) {
                         route_shared::<P, S>(
                             routing,
@@ -1266,6 +1269,52 @@ mod tests {
                 round: Round(2)
             }
         );
+    }
+
+    #[test]
+    fn short_broadcast_decisions_are_a_typed_error() {
+        use crate::fault::{ExecutionView, FaultBudget, FaultModel, Routing};
+        use crate::mailbox::ReceiverMask;
+        /// Decides every fan-out but its last receiver.
+        struct Short;
+        impl FaultModel<Bit> for Short {
+            fn budget(&self) -> FaultBudget {
+                FaultBudget::Static(BTreeSet::new())
+            }
+            fn route(
+                &mut self,
+                _: ExecutionView<'_>,
+                _: ProcessId,
+                _: ProcessId,
+                _: &Bit,
+            ) -> Routing<Bit> {
+                Routing::Deliver
+            }
+            fn route_broadcast(
+                &mut self,
+                _: ExecutionView<'_>,
+                _: ProcessId,
+                mask: &ReceiverMask,
+                _: &Bit,
+                out: &mut Vec<Routing<Bit>>,
+            ) {
+                out.extend((1..mask.len()).map(|_| Routing::Deliver));
+            }
+        }
+        let scenario = || {
+            Scenario::new(4, 1)
+                .protocol(|_| Chatter::new(2, 2))
+                .uniform_input(Bit::Zero)
+                .adversary(crate::Adversary::model(Short))
+        };
+        let expected = SimError::RoutingCount {
+            sender: ProcessId(0),
+            round: Round(1),
+            expected: 3,
+            got: 2,
+        };
+        assert_eq!(scenario().run().unwrap_err(), expected);
+        assert_eq!(scenario().run_stats().unwrap_err(), expected);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Execution-observing fault models: the adaptive adversary layer.
+//! Execution-observing fault models: the adversary layer.
 //!
 //! The paper's lower bound is driven by adversaries that *react* to the
 //! unfolding execution. A [`FaultModel`] is the executor's single adversary
@@ -12,19 +12,22 @@
 //!   *charged* against the budget, so `|ever-corrupted| ≤ t` and every
 //!   produced [`Execution`](crate::Execution) still validates);
 //! * **routing decisions** ([`FaultModel::route`]): deliver, send-omit,
-//!   receive-omit ([`Routing`] mirrors the omission model's
-//!   [`Fate`](crate::Fate)) or **forge** — replace a corrupted sender's
-//!   payload in transit (the routing-level Byzantine capability);
+//!   receive-omit (the omission model's [`Fate`](crate::Fate)s) or
+//!   **forge** — replace a corrupted sender's payload in transit (the
+//!   routing-level Byzantine capability);
 //! * optionally a **delivery schedule** ([`FaultModel::schedule`]): a
 //!   permutation of the round's routing queue, which is what makes
 //!   message-scheduling adversaries (rushing, bounded-capacity links)
 //!   expressible — later routing decisions observe the traffic routed
 //!   earlier in the same round.
 //!
-//! The legacy static adversaries are canned models: [`PlannedFaults`] wraps
-//! a fixed fault set plus an [`OmissionPlan`], and the
-//! [`Adversary`](crate::Adversary) constructors build exactly these, so
-//! every pre-trait call site keeps its bit-identical behavior. The adaptive
+//! The static omission adversaries of paper §3 — fault-free, isolation
+//! (Definition 1), crash, seeded random omission, explicit tables and
+//! closures — are models too (see [`IsolationPlan`](crate::IsolationPlan)
+//! and its siblings), each budgeted by the processes it can blame;
+//! [`PlannedFaults`] re-declares a model's static fault set, which is how
+//! [`Adversary::omission`](crate::Adversary::omission) and the Byzantine
+//! constructors charge processes the plan itself never blames. The adaptive
 //! regime studied in "Breaking the O(n²) Bit Barrier" and "Make Every Word
 //! Count" is covered by [`AdaptiveWorstCase`] (corrupt the chattiest
 //! processes after observing round 1), [`MobileOmission`] (corruption that
@@ -40,14 +43,14 @@ use std::collections::BTreeSet;
 use crate::execution::FaultMode;
 use crate::ids::{ProcessId, Round};
 use crate::mailbox::ReceiverMask;
-use crate::plan::{Fate, OmissionPlan};
+use crate::plan::NoFaults;
 use crate::rng::SimRng;
 use crate::value::Payload;
 
 /// What one routing decision does to a message in transit.
 ///
-/// The first three variants mirror the omission model's
-/// [`Fate`](crate::Fate); [`Routing::Forge`] is the routing-level Byzantine
+/// The first three variants are the omission model's
+/// [`Fate`](crate::Fate)s; [`Routing::Forge`] is the routing-level Byzantine
 /// capability: the (corrupted) sender's payload is replaced in transit and
 /// the receiver observes the forged message as a regular delivery.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -71,16 +74,6 @@ impl<M> Routing<M> {
             Routing::Deliver | Routing::Forge(_) => None,
             Routing::SendOmit => Some(sender),
             Routing::ReceiveOmit => Some(receiver),
-        }
-    }
-}
-
-impl<M> From<Fate> for Routing<M> {
-    fn from(fate: Fate) -> Self {
-        match fate {
-            Fate::Deliver => Routing::Deliver,
-            Fate::SendOmit => Routing::SendOmit,
-            Fate::ReceiveOmit => Routing::ReceiveOmit,
         }
     }
 }
@@ -316,20 +309,18 @@ impl<M, T: FaultModel<M> + ?Sized> FaultModel<M> for Box<T> {
     }
 }
 
-/// The legacy static adversary as a fault model: a fixed fault set plus an
-/// [`OmissionPlan`] deciding each message's fate.
+/// A fault model with its budget replaced by a declared static fault set.
 ///
-/// Every pre-trait [`Adversary`](crate::Adversary) flavor reduces to this —
-/// fault-free (`PlannedFaults::none()`), omission, crash, Byzantine (empty
-/// plan; the behaviors occupy slots), and mixed — and the plan is consulted
-/// with exactly the arguments and in exactly the order of the pre-trait
-/// executor, so executions are bit-identical.
+/// `PlannedFaults::new(faulty, model)` corrupts `faulty` from round 1 and
+/// delegates every decision to `model`. This is how a plan may blame (or a
+/// Byzantine slot may occupy) processes beyond those the model budgets for
+/// itself: [`Adversary::omission`](crate::Adversary::omission),
+/// [`Adversary::byzantine`](crate::Adversary::byzantine) and
+/// [`Adversary::mixed`](crate::Adversary::mixed) are built this way.
 #[derive(Clone, Debug)]
 pub struct PlannedFaults<P> {
     faulty: BTreeSet<ProcessId>,
     plan: P,
-    /// Scratch buffer for batched fan-out decisions (reused per broadcast).
-    fates: Vec<Fate>,
 }
 
 impl<P> PlannedFaults<P> {
@@ -338,28 +329,33 @@ impl<P> PlannedFaults<P> {
         PlannedFaults {
             faulty: faulty.into_iter().collect(),
             plan,
-            fates: Vec::new(),
         }
     }
-
-    /// The static fault set.
-    pub fn faulty(&self) -> &BTreeSet<ProcessId> {
-        &self.faulty
-    }
 }
 
-impl PlannedFaults<crate::plan::NoFaults> {
+impl PlannedFaults<NoFaults> {
     /// The fault-free model: nobody is corrupted, everything is delivered.
     pub fn none() -> Self {
-        PlannedFaults::new([], crate::plan::NoFaults)
+        PlannedFaults::new([], NoFaults)
     }
 }
 
-impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
+impl<M, P: FaultModel<M>> FaultModel<M> for PlannedFaults<P> {
     fn budget(&self) -> FaultBudget {
         FaultBudget::Static(self.faulty.clone())
     }
-
+    fn mode(&self) -> FaultMode {
+        self.plan.mode()
+    }
+    fn begin_round(&mut self, view: ExecutionView<'_>) -> Vec<FaultDirective> {
+        self.plan.begin_round(view)
+    }
+    fn reorders(&self) -> bool {
+        self.plan.reorders()
+    }
+    fn schedule(&mut self, view: ExecutionView<'_>, queue: &mut [Envelope]) {
+        self.plan.schedule(view, queue)
+    }
     fn route(
         &mut self,
         view: ExecutionView<'_>,
@@ -367,9 +363,8 @@ impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
         receiver: ProcessId,
         payload: &M,
     ) -> Routing<M> {
-        self.plan.fate(view.round, sender, receiver, payload).into()
+        self.plan.route(view, sender, receiver, payload)
     }
-
     fn route_broadcast(
         &mut self,
         view: ExecutionView<'_>,
@@ -378,10 +373,7 @@ impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
         payload: &M,
         out: &mut Vec<Routing<M>>,
     ) {
-        self.fates.clear();
-        self.plan
-            .fate_broadcast(view.round, sender, mask, payload, &mut self.fates);
-        out.extend(self.fates.drain(..).map(Routing::from));
+        self.plan.route_broadcast(view, sender, mask, payload, out)
     }
 }
 

@@ -22,14 +22,11 @@ use crate::fault::{
     SchedulerOmission,
 };
 use crate::ids::{ProcessId, Round};
-use crate::plan::{CrashPlan, IsolationPlan, OmissionPlan};
+use crate::plan::{CrashPlan, IsolationPlan, NoFaults};
 use crate::protocol::Protocol;
 use crate::sink::{FullTrace, StatsSink, TraceMode, TraceSink};
 use crate::telemetry::RecordingSink;
 use crate::value::{Payload, Value};
-
-/// A boxed omission strategy, as accepted by [`Adversary::omission`].
-pub type BoxedPlan<'a, M> = Box<dyn OmissionPlan<M> + 'a>;
 
 /// A boxed fault model, as stored in an [`Adversary`].
 pub type BoxedFaultModel<'a, M> = Box<dyn FaultModel<M> + 'a>;
@@ -51,7 +48,8 @@ pub type BoxedBehavior<'a, I, M> = Box<dyn ByzantineBehavior<I, M> + 'a>;
 /// Formerly a closed enum; now **constructors over the [`FaultModel`]
 /// trait**. The legacy flavors — the paper's omission adversary (§3),
 /// Byzantine adversary (§2), the crash adversary, and **mixed** per-process
-/// assignments — build canned [`PlannedFaults`] models and behave
+/// assignments — build the static plan models (wrapped in
+/// [`PlannedFaults`] where a fault set is declared) and behave
 /// bit-identically to the enum they replace, while the adaptive regime
 /// ([`Adversary::adaptive_worst_case`], [`Adversary::mobile`],
 /// [`Adversary::scheduler`], [`Adversary::forge`], and arbitrary
@@ -76,10 +74,11 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
         }
     }
 
-    /// An omission adversary corrupting `faulty`, driven by `plan`.
+    /// An omission adversary corrupting `faulty`, driven by `plan` (any
+    /// [`FaultModel`]; its own budget is replaced by `faulty`).
     pub fn omission(
         faulty: impl IntoIterator<Item = ProcessId>,
-        plan: impl OmissionPlan<M> + 'a,
+        plan: impl FaultModel<M> + 'a,
     ) -> Self {
         Adversary {
             behaviors: BTreeMap::new(),
@@ -91,14 +90,13 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
 
     /// Group isolation (paper Definition 1): `group` is faulty and
     /// receive-omits all outside traffic from round `from` on.
-    pub fn isolation(group: impl IntoIterator<Item = ProcessId> + Clone, from: Round) -> Self {
-        Adversary::omission(group.clone(), IsolationPlan::new(group, from))
+    pub fn isolation(group: impl IntoIterator<Item = ProcessId>, from: Round) -> Self {
+        Adversary::model(IsolationPlan::new(group, from))
     }
 
     /// The crash adversary: each listed process crash-stops at its round.
-    pub fn crash(crashes: impl IntoIterator<Item = (ProcessId, Round)> + Clone) -> Self {
-        let faulty: Vec<ProcessId> = crashes.clone().into_iter().map(|(p, _)| p).collect();
-        Adversary::omission(faulty, CrashPlan::new(crashes))
+    pub fn crash(crashes: impl IntoIterator<Item = (ProcessId, Round)>) -> Self {
+        Adversary::model(CrashPlan::new(crashes))
     }
 
     /// A Byzantine adversary with the given per-process behaviors.
@@ -110,7 +108,7 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
         let keys: Vec<ProcessId> = behaviors.keys().copied().collect();
         Adversary {
             behaviors,
-            model: Box::new(PlannedFaults::new(keys, crate::plan::NoFaults)),
+            model: Box::new(PlannedFaults::new(keys, NoFaults)),
             mode: FaultMode::Byzantine,
             conflict: None,
         }
@@ -127,7 +125,7 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
     pub fn mixed(
         behaviors: impl IntoIterator<Item = (ProcessId, BoxedBehavior<'a, I, M>)>,
         omission_faulty: impl IntoIterator<Item = ProcessId>,
-        plan: impl OmissionPlan<M> + 'a,
+        plan: impl FaultModel<M> + 'a,
     ) -> Self {
         let behaviors: BTreeMap<ProcessId, BoxedBehavior<'a, I, M>> =
             behaviors.into_iter().collect();
@@ -514,7 +512,7 @@ mod tests {
     use crate::byzantine::SilentByzantine;
     use crate::ids::Round;
     use crate::mailbox::{Inbox, Outbox};
-    use crate::plan::{Fate, NoFaults, TableOmissionPlan};
+    use crate::plan::{Fate, TableOmissionPlan};
     use crate::protocol::ProcessCtx;
     use crate::value::Bit;
 
@@ -758,7 +756,7 @@ mod tests {
 
     #[test]
     fn plans_can_be_passed_by_mutable_reference() {
-        // `&mut P` implements `OmissionPlan`, so a caller can keep the plan
+        // `&mut P` implements `FaultModel`, so a caller can keep the plan
         // and inspect it after the run.
         let mut plan = TableOmissionPlan::new();
         plan.set(Round(1), ProcessId(2), ProcessId(0), Fate::SendOmit);

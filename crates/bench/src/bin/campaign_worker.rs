@@ -2,82 +2,80 @@
 //! campaign sweeps.
 //!
 //! Reads a `ba-dist` [`ShardManifest`] (wire format) from stdin or a file,
-//! executes the shard on the local `ba_sim::Campaign` thread pool via the
-//! `ba_bench::dist` protocol registry, and writes the encoded shard report
-//! to stdout or a file. The merging coordinator (`ba_dist::Coordinator`)
-//! spawns one of these per shard.
+//! executes the shard on the local thread pool via the `ba_bench::dist`
+//! protocol registry ([`run_manifest_streaming`]), and streams the per-point
+//! outcomes and the encoded shard report to stdout. The merging coordinator
+//! (`ba_dist::Coordinator`) spawns one of these per shard.
 //!
 //! Usage:
 //!
 //! ```text
-//! campaign_worker [--manifest FILE] [--out FILE] [--progress] [--stream]
+//! campaign_worker [--manifest FILE] [--progress]
 //! campaign_worker --serve ADDR [--conns N] [--progress]
 //! ```
 //!
-//! With no flags: manifest on stdin, report on stdout (the transport
-//! `ba_dist::WorkerCommand` uses). With `--progress`, the worker streams
-//! one JSONL [`ProgressEvent`](ba_dist::ProgressEvent) line per completed
-//! point to stdout as it finishes, interleaved before the wire report —
-//! JSONL lines start with `{` and wire records never do, so downstream
-//! consumers (the coordinator's streaming transport, `campaign_watch`)
-//! split the stream line-by-line. Telemetry is observation-only: the
-//! report is bit-identical with `--progress` on or off.
-//!
-//! With `--stream`, the worker additionally emits one checksummed
-//! `outcome` wire line per point *as it completes* — the redundancy the
-//! coordinator's point-level recovery banks, so a worker that crashes
-//! after k points only forfeits the rest. The trailing report stays
-//! bit-identical.
+//! The worker reads the manifest from stdin (the transport
+//! `ba_dist::WorkerCommand` uses) or from `--manifest FILE`, and streams to
+//! stdout: one checksummed `outcome` wire line per point *as it completes*
+//! — the redundancy the coordinator's point-level recovery banks, so a
+//! worker that crashes after k points only forfeits the rest — followed by
+//! the encoded shard report. For a file run, redirect stdout. With
+//! `--progress`, one JSONL [`ProgressEvent`](ba_dist::ProgressEvent) line
+//! follows each outcome line — JSONL lines start with `{` and wire records
+//! never do, so downstream consumers (the coordinator's streaming
+//! transport, `campaign_watch`) split the stream line-by-line. Telemetry is
+//! observation-only: the report is byte-identical with `--progress` on or
+//! off.
 //!
 //! With `--serve ADDR` the worker is a TCP shard server instead
 //! (`ba_dist::TcpTransport` is the client side): it binds `ADDR`, prints
 //! one `listening addr=IP:PORT` line to stdout (so callers can bind port
-//! 0), and then serves one manifest per connection in streaming mode until
-//! `--conns N` connections have been handled (forever without it).
+//! 0), and then serves one manifest per connection, streaming the same
+//! lines back, until `--conns N` connections have been handled (forever
+//! without it; `--conns 0` serves none and exits).
 //!
 //! `$CAMPAIGN_WORKER_DELAY_MS`, if set, sleeps that many milliseconds after
-//! each completed point — a throttle for demos and straggler-detection
-//! tests (it slows the shard's wall-clock rate without touching any
-//! deterministic output).
+//! each completed point, in both modes — a throttle for demos and
+//! straggler-detection tests (it slows the shard's wall-clock rate without
+//! touching any deterministic output).
 //!
 //! Exits non-zero with a diagnostic on stderr for undecodable manifests,
 //! unknown registry labels, or I/O failures.
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
-use ba_bench::dist::{run_manifest, run_manifest_streaming, run_manifest_with_progress};
-use ba_dist::{serve_shards, Decode, ProgressEvent, ShardManifest};
+use ba_bench::dist::run_manifest_streaming;
+use ba_dist::{serve_shards, Decode, ShardManifest};
 
-/// Writes one progress line to stdout, flushing so consumers see it live.
-fn emit_progress(event: &ProgressEvent, delay_ms: u64) {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = writeln!(out, "{}", event.to_json_line());
-    let _ = out.flush();
-    if delay_ms > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-    }
+/// Runs the shard, handing every streamed chunk (complete lines) to
+/// `write` and then sleeping `$CAMPAIGN_WORKER_DELAY_MS`, if set.
+fn stream(
+    manifest: &ShardManifest,
+    progress: bool,
+    write: &(dyn Fn(&str) + Sync),
+) -> Result<(), String> {
+    let delay = std::env::var("CAMPAIGN_WORKER_DELAY_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map_or(Duration::ZERO, Duration::from_millis);
+    run_manifest_streaming(manifest, progress, &|chunk: &str| {
+        write(chunk);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+    })
 }
 
-/// Writes one streaming chunk (complete lines) to stdout, flushing so the
-/// coordinator sees outcomes live. The per-call lock keeps chunks from
-/// concurrent worker threads line-atomic.
-fn emit_chunk(chunk: &str, delay_ms: u64) {
+/// Writes one chunk to stdout, flushing so the coordinator sees outcomes
+/// live. The per-call lock keeps chunks from concurrent worker threads
+/// line-atomic.
+fn write_stdout(chunk: &str) {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let _ = out.write_all(chunk.as_bytes());
     let _ = out.flush();
-    if delay_ms > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-    }
-}
-
-fn point_delay_ms() -> u64 {
-    std::env::var("CAMPAIGN_WORKER_DELAY_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// Runs the TCP shard-server mode: bind, announce, serve.
@@ -100,7 +98,7 @@ fn serve(addr: &str, conns: Option<usize>, progress: bool) -> Result<(), String>
         // Bridge the per-connection FnMut sink into the Sync emitter the
         // streaming worker threads share.
         let sink = std::sync::Mutex::new(emit);
-        run_manifest_streaming(manifest, progress, &|chunk: &str| {
+        stream(manifest, progress, &|chunk: &str| {
             (sink.lock().unwrap_or_else(|p| p.into_inner()))(chunk)
         })
     })
@@ -109,9 +107,7 @@ fn serve(addr: &str, conns: Option<usize>, progress: bool) -> Result<(), String>
 
 fn run() -> Result<(), String> {
     let mut manifest_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
     let mut progress = false;
-    let mut stream = false;
     let mut serve_addr: Option<String> = None;
     let mut conns: Option<usize> = None;
     let mut args = std::env::args().skip(1);
@@ -120,25 +116,21 @@ fn run() -> Result<(), String> {
             "--manifest" => {
                 manifest_path = Some(args.next().ok_or("--manifest needs a file path")?);
             }
-            "--out" => out_path = Some(args.next().ok_or("--out needs a file path")?),
             "--progress" => progress = true,
-            "--stream" => stream = true,
             "--serve" => serve_addr = Some(args.next().ok_or("--serve needs an address")?),
             "--conns" => {
                 let n = args.next().ok_or("--conns needs a count")?;
                 conns = Some(n.parse().map_err(|_| format!("bad --conns value {n:?}"))?);
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: campaign_worker [--manifest FILE] [--out FILE] [--progress] [--stream]"
-                );
+                println!("usage: campaign_worker [--manifest FILE] [--progress]");
                 println!("       campaign_worker --serve ADDR [--conns N] [--progress]");
                 println!("reads a shard manifest (stdin by default), runs it on the local");
-                println!("Campaign pool, and emits the shard report (stdout by default);");
-                println!("--progress streams one JSONL line per completed point to stdout;");
-                println!("--stream also emits one checksummed outcome wire line per point;");
+                println!("thread pool, and streams one checksummed outcome wire line per");
+                println!("completed point, then the shard report, to stdout;");
+                println!("--progress adds one JSONL progress line after each outcome;");
                 println!("--serve turns the worker into a TCP shard server (one manifest");
-                println!("per connection, streaming mode)");
+                println!("per connection, the same stream sent back)");
                 return Ok(());
             }
             other => return Err(format!("unknown argument {other:?} (see --help)")),
@@ -168,24 +160,7 @@ fn run() -> Result<(), String> {
         manifest.protocol,
         manifest.mode,
     );
-    if stream {
-        // Streaming always goes to stdout: it exists for a live consumer.
-        let delay_ms = point_delay_ms();
-        return run_manifest_streaming(&manifest, progress, &|chunk: &str| {
-            emit_chunk(chunk, delay_ms)
-        });
-    }
-    let report = if progress {
-        let delay_ms = point_delay_ms();
-        run_manifest_with_progress(&manifest, move |event| emit_progress(&event, delay_ms))?
-    } else {
-        run_manifest(&manifest)?
-    };
-    match &out_path {
-        Some(path) => std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?,
-        None => print!("{report}"),
-    }
-    Ok(())
+    stream(&manifest, progress, &write_stdout)
 }
 
 fn main() -> ExitCode {

@@ -37,7 +37,6 @@
 //! [`ba_search::GenomeModel`] and reports plain `ScenarioStats`, so a
 //! coordinator can fan a search population out across shards.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +47,7 @@ use ba_dist::{
     CoordEvent, Coordinator, Decode, DistError, Encode, ProgressEvent, ShardManifest, ShardMode,
     ShardReport, SweepSpec, WireError, WireReader, WorkerCommand,
 };
-use ba_obs::{FieldValue, Recorder};
+use ba_obs::Recorder;
 use ba_protocols::broken::{
     LeaderEcho, OneRoundAllToAll, OwnProposal, ParanoidEcho, SilentConstant,
 };
@@ -56,7 +55,7 @@ use ba_protocols::{DolevStrong, FloodSet, PhaseKing};
 use ba_search::{genome_from_label, GenomeModel};
 use ba_sim::{
     Adversary, Bit, Campaign, CampaignPoint, CampaignReport, ProcessId, Protocol,
-    RandomOmissionPlan, Round, Scenario, SimRng, TraceMode,
+    RandomOmissionPlan, Round, Scenario, ScenarioStats, SimRng, TraceMode,
 };
 
 use crate::check::{check_point, CheckLabel, CheckSweepPoint};
@@ -117,8 +116,9 @@ pub fn input_bits(label: &str, n: usize, seed: u64) -> Vec<Bit> {
     }
 }
 
-/// Executes one shard manifest and returns the encoded [`ShardReport`] —
-/// the entire body of the `campaign_worker` binary.
+/// Executes one shard manifest and returns the encoded [`ShardReport`]:
+/// the trailing report of [`run_manifest_streaming`], without the
+/// per-point lines.
 ///
 /// # Errors
 ///
@@ -128,33 +128,14 @@ pub fn run_manifest(manifest: &ShardManifest) -> Result<String, String> {
     run_manifest_recorded(manifest, None)
 }
 
-/// [`run_manifest`] streaming one [`ProgressEvent`] per completed point to
-/// `on_point` (from the campaign worker threads, as points finish) — the
-/// body of `campaign_worker --progress`. Telemetry is observation-only: the
-/// returned report is bit-identical to [`run_manifest`]'s.
-///
-/// # Errors
-///
-/// As [`run_manifest`].
-pub fn run_manifest_with_progress(
-    manifest: &ShardManifest,
-    on_point: impl Fn(ProgressEvent) + Send + Sync + 'static,
-) -> Result<String, String> {
-    let recorder = ProgressRecorder {
-        shard: manifest.shard,
-        shards: manifest.shards,
-        total: manifest.entries.len(),
-        indices: manifest.entries.iter().map(|e| e.index).collect(),
-        done: AtomicUsize::new(0),
-        started: Instant::now(),
-        on_point,
-    };
-    run_manifest_recorded(manifest, Some(Arc::new(recorder)))
-}
-
-/// [`run_manifest`] with an arbitrary telemetry [`Recorder`] installed on
-/// the shard's campaign (e.g. a [`ba_obs::Aggregator`] for end-of-shard
-/// summaries, or a [`ba_obs::JsonlRecorder`] for full event streams).
+/// [`run_manifest`] with an arbitrary telemetry [`Recorder`] observing the
+/// shard (e.g. a [`ba_obs::Aggregator`] for end-of-shard summaries, or a
+/// [`ba_obs::JsonlRecorder`] for full event streams). The recorder is
+/// threaded into every scenario and falsifier run, and each finished point
+/// is recorded as a `Campaign` sweep records it
+/// ([`ba_sim::record_point`] for scenario points,
+/// [`ba_sim::record_point_done`] otherwise). Observation-only: the report
+/// is byte-identical to [`run_manifest`]'s.
 ///
 /// # Errors
 ///
@@ -163,169 +144,18 @@ pub fn run_manifest_recorded(
     manifest: &ShardManifest,
     recorder: Option<Arc<dyn Recorder>>,
 ) -> Result<String, String> {
-    let points: Vec<CampaignPoint> = manifest.entries.iter().map(|e| e.point.clone()).collect();
-    match manifest.mode {
-        ShardMode::Scenarios => {
-            let seeds: BTreeMap<CampaignPoint, u64> = manifest
-                .entries
-                .iter()
-                .map(|e| (e.point.clone(), e.seed))
-                .collect();
-            let report = scenario_report_with(
-                &points,
-                |point| seeds[point],
-                manifest.threads,
-                &manifest.protocol,
-                TraceMode::Stats,
-                recorder,
-            )?;
-            let shard_report = ShardReport {
-                shard: manifest.shard,
-                outcomes: manifest
-                    .entries
-                    .iter()
-                    .zip(report.outcomes)
-                    .map(|(entry, outcome)| (entry.index, outcome.result))
-                    .collect(),
-            };
-            Ok(shard_report.to_wire())
-        }
-        ShardMode::Falsifier => {
-            let sweep =
-                falsifier_report_with(&points, manifest.threads, &manifest.protocol, recorder)?;
-            let shard_report = ShardReport {
-                shard: manifest.shard,
-                outcomes: manifest
-                    .entries
-                    .iter()
-                    .zip(sweep)
-                    .map(|(entry, fp)| (entry.index, Ok(fp)))
-                    .collect(),
-            };
-            Ok(shard_report.to_wire())
-        }
-        ShardMode::Search => {
-            let seeds: BTreeMap<CampaignPoint, u64> = manifest
-                .entries
-                .iter()
-                .map(|e| (e.point.clone(), e.seed))
-                .collect();
-            let report = search_report_with(
-                &points,
-                |point| seeds[point],
-                manifest.threads,
-                &manifest.protocol,
-                recorder,
-            )?;
-            let shard_report = ShardReport {
-                shard: manifest.shard,
-                outcomes: manifest
-                    .entries
-                    .iter()
-                    .zip(report.outcomes)
-                    .map(|(entry, outcome)| (entry.index, outcome.result))
-                    .collect(),
-            };
-            Ok(shard_report.to_wire())
-        }
-        ShardMode::Check => {
-            validate_check_labels(&points)?;
-            with_registry_factory!(manifest.protocol.as_str(), factory => {
-                ShardReport {
-                    shard: manifest.shard,
-                    outcomes: check_entries(manifest, factory, recorder, None, None)?,
-                }
-                .to_wire()
-            })
-        }
-    }
+    run_shard(manifest, false, recorder, &|_| {})
 }
 
-/// Rejects malformed `check:` adversary labels and check spaces whose
-/// corruption enumeration is refused as too large — *before* any work
-/// runs, so a worker never half-explores a misconfigured sweep.
-fn validate_check_labels(points: &[CampaignPoint]) -> Result<(), String> {
-    for point in points {
-        let label = CheckLabel::parse(&point.adversary)?;
-        let spec: CheckSpec<Bit> = label.to_spec(point.n, point.t);
-        spec.corruption_subsets()
-            .map_err(|e| format!("check at {point}: {e}"))?;
-    }
-    Ok(())
-}
-
-type CheckOutcomes = Vec<(usize, Result<CheckSweepPoint, ba_sim::SimError>)>;
-
-/// Runs a check-mode shard's entries **sequentially**: each entry is one
-/// slice of an exhaustive model-check space (the slice assignment lives in
-/// the point's `check:` label), and the explorer parallelizes internally
-/// over the shard's thread budget — per-point parallelism on top would
-/// oversubscribe without changing any outcome (the explorer is
-/// thread-count invariant). Simulator failures surface as that point's
-/// `Err` outcome; `on_progress` observes live exploration snapshots.
-fn check_entries<P, F, G>(
-    manifest: &ShardManifest,
-    factory: G,
-    recorder: Option<Arc<dyn Recorder>>,
-    on_progress: Option<&(dyn Fn(usize, CheckProgress) + Sync)>,
-    sink: Option<&StreamSink<'_>>,
-) -> Result<CheckOutcomes, String>
-where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
-    G: Fn(&CampaignPoint) -> F + Sync,
-{
-    let mut outcomes = Vec::with_capacity(manifest.entries.len());
-    for (local, entry) in manifest.entries.iter().enumerate() {
-        let label = CheckLabel::parse(&entry.point.adversary)?;
-        let spec: CheckSpec<P::Msg> = label.to_spec(entry.point.n, entry.point.t);
-        let proposals = input_bits(&entry.point.inputs, entry.point.n, entry.seed);
-        let hook = on_progress.map(|sink| move |p: CheckProgress| sink(local, p));
-        let outcome = ba_check::check_with_progress(
-            &spec,
-            factory(&entry.point),
-            &proposals,
-            manifest.threads,
-            hook.as_ref().map(|h| h as &(dyn Fn(CheckProgress) + Sync)),
-        );
-        let mut result = match outcome {
-            Ok(outcome) => Ok(CheckSweepPoint::from_outcome(entry.point.clone(), &outcome)),
-            Err(CheckError::Sim(e)) => Err(e),
-            // Caught by eager validation; a late surprise is still fatal.
-            Err(refused @ CheckError::SpaceTooLarge { .. }) => {
-                return Err(format!("check at {}: {refused}", entry.point))
-            }
-        };
-        let (messages, rounds, ok) = match &result {
-            Ok(sweep) => (sweep.executions, sweep.max_depth, true),
-            Err(_) => (0, 0, false),
-        };
-        if let Some(r) = recorder.as_ref() {
-            r.event(
-                "campaign.point.done",
-                &[
-                    ("index", FieldValue::U64(local as u64)),
-                    ("messages", FieldValue::U64(messages)),
-                    ("rounds", FieldValue::U64(rounds)),
-                    ("ok", FieldValue::Bool(ok)),
-                ],
-            );
-        }
-        if let Some(s) = sink {
-            result = s.point(entry.index, result, messages, rounds, ok);
-        }
-        outcomes.push((entry.index, result));
-    }
-    Ok(outcomes)
-}
-
-/// [`run_manifest`] in **streaming** mode — the body of `campaign_worker
-/// --stream` and of the TCP shard server: one checksummed `outcome` wire
-/// line per completed point is handed to `emit` *as the point finishes*
-/// (from the worker threads), followed by the complete [`ShardReport`].
-/// With `progress`, a JSONL [`ProgressEvent`] line follows each outcome.
+/// Executes one shard manifest, **streaming**: one checksummed `outcome`
+/// wire line per completed point is handed to `emit` *as the point
+/// finishes* (from the worker threads), followed by the complete
+/// [`ShardReport`]. With `progress`, a JSONL [`ProgressEvent`] line follows
+/// each outcome, and check-mode shards interleave live
+/// [`CoordEvent::Check`] exploration snapshots. This is the body of
+/// `campaign_worker` and of its TCP shard server.
 ///
-/// The trailing report is bit-identical to [`run_manifest`]'s, and every
+/// The trailing report is the text [`run_manifest`] returns, and every
 /// streamed outcome byte-matches the corresponding report item — streaming
 /// is pure redundancy, which is exactly what point-level recovery needs: a
 /// worker that dies after k points has already delivered those k outcomes,
@@ -345,31 +175,290 @@ pub fn run_manifest_streaming(
     progress: bool,
     emit: &(dyn Fn(&str) + Sync),
 ) -> Result<(), String> {
-    let points: Vec<CampaignPoint> = manifest.entries.iter().map(|e| e.point.clone()).collect();
+    emit(&run_shard(manifest, progress, None, emit)?);
+    Ok(())
+}
+
+/// The one worker body: validates the manifest's labels, runs every entry
+/// through a [`StreamSink`] (which emits its outcome and progress lines),
+/// and returns the encoded [`ShardReport`].
+fn run_shard(
+    manifest: &ShardManifest,
+    progress: bool,
+    recorder: Option<Arc<dyn Recorder>>,
+    emit: &(dyn Fn(&str) + Sync),
+) -> Result<String, String> {
+    let sink = StreamSink {
+        emit,
+        recorder,
+        shard: manifest.shard,
+        shards: manifest.shards,
+        total: manifest.entries.len(),
+        progress,
+        done: AtomicUsize::new(0),
+        started: Instant::now(),
+    };
+    let points = manifest.entries.iter().map(|e| &e.point);
+    let protocol = manifest.protocol.as_str();
     match manifest.mode {
         ShardMode::Scenarios => {
-            validate_labels(&points)?;
-            with_registry_factory!(manifest.protocol.as_str(), factory => {
-                stream_scenario_entries(manifest, factory, false, progress, emit)
+            validate_labels(points)?;
+            with_registry_factory!(protocol, factory => {
+                shard_wire(manifest, scenario_entries(manifest, factory, scenario_for, &sink))
             })
         }
         ShardMode::Search => {
-            validate_search_labels(&points)?;
-            with_registry_factory!(manifest.protocol.as_str(), factory => {
-                stream_scenario_entries(manifest, factory, true, progress, emit)
+            validate_search_labels(points)?;
+            with_registry_factory!(protocol, factory => {
+                shard_wire(manifest, scenario_entries(manifest, factory, search_scenario_for, &sink))
             })
         }
-        ShardMode::Falsifier => {
-            with_registry_factory!(manifest.protocol.as_str(), factory => {
-                stream_falsifier_entries(manifest, factory, progress, emit)
-            })
-        }
+        ShardMode::Falsifier => with_registry_factory!(protocol, factory => {
+            shard_wire(manifest, falsifier_entries(manifest, factory, &sink))
+        }),
         ShardMode::Check => {
-            validate_check_labels(&points)?;
-            with_registry_factory!(manifest.protocol.as_str(), factory => {
-                stream_check_entries(manifest, factory, progress, emit)?
+            validate_check_labels(points)?;
+            with_registry_factory!(protocol, factory => {
+                shard_wire(manifest, check_entries(manifest, factory, &sink)?)
             })
         }
+    }
+}
+
+type Outcomes<T> = Vec<(usize, Result<T, ba_sim::SimError>)>;
+
+fn shard_wire<T: Encode>(manifest: &ShardManifest, outcomes: Outcomes<T>) -> String {
+    ShardReport {
+        shard: manifest.shard,
+        outcomes,
+    }
+    .to_wire()
+}
+
+/// Rejects malformed `check:` adversary labels and check spaces whose
+/// corruption enumeration is refused as too large — *before* any work
+/// runs, so a worker never half-explores a misconfigured sweep.
+fn validate_check_labels<'a>(
+    points: impl IntoIterator<Item = &'a CampaignPoint>,
+) -> Result<(), String> {
+    for point in points {
+        let label = CheckLabel::parse(&point.adversary)?;
+        let spec: CheckSpec<Bit> = label.to_spec(point.n, point.t);
+        spec.corruption_subsets()
+            .map_err(|e| format!("check at {point}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Runs a check-mode shard's entries **sequentially**: each entry is one
+/// slice of an exhaustive model-check space (the slice assignment lives in
+/// the point's `check:` label), and the explorer parallelizes internally
+/// over the shard's thread budget — per-point parallelism on top would
+/// oversubscribe without changing any outcome (the explorer is
+/// thread-count invariant). Simulator failures surface as that point's
+/// `Err` outcome. With progress on, live [`CoordEvent::Check`] snapshots
+/// (batched inside the explorer, so the stream stays cheap) flow to the
+/// sink's emitter while a slice explores — the states/s + frontier-depth
+/// feed `campaign_watch` renders live.
+fn check_entries<P, F, G>(
+    manifest: &ShardManifest,
+    factory: G,
+    sink: &StreamSink<'_>,
+) -> Result<Outcomes<CheckSweepPoint>, String>
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P + Sync,
+    G: Fn(&CampaignPoint) -> F + Sync,
+{
+    let snapshot = |p: CheckProgress| {
+        let event = CoordEvent::Check {
+            shard: sink.shard,
+            shards: sink.shards,
+            states: p.states,
+            executions: p.executions,
+            depth: p.depth,
+            elapsed_nanos: sink.elapsed_nanos(),
+        };
+        (sink.emit)(&format!("{}\n", event.to_json_line()));
+    };
+    let hook = sink
+        .progress
+        .then_some(&snapshot as &(dyn Fn(CheckProgress) + Sync));
+    let mut outcomes = Vec::with_capacity(manifest.entries.len());
+    for (local, entry) in manifest.entries.iter().enumerate() {
+        let label = CheckLabel::parse(&entry.point.adversary)?;
+        let spec: CheckSpec<P::Msg> = label.to_spec(entry.point.n, entry.point.t);
+        let proposals = input_bits(&entry.point.inputs, entry.point.n, entry.seed);
+        let outcome = ba_check::check_with_progress(
+            &spec,
+            factory(&entry.point),
+            &proposals,
+            manifest.threads,
+            hook,
+        );
+        let result = match outcome {
+            Ok(outcome) => Ok(CheckSweepPoint::from_outcome(entry.point.clone(), &outcome)),
+            Err(CheckError::Sim(e)) => Err(e),
+            // Caught by eager validation; a late surprise is still fatal.
+            Err(refused @ CheckError::SpaceTooLarge { .. }) => {
+                return Err(format!("check at {}: {refused}", entry.point))
+            }
+        };
+        outcomes.push((entry.index, sink.point(local, entry.index, result)));
+    }
+    Ok(outcomes)
+}
+
+/// Runs a scenario- or search-mode shard's entries on the shard's thread
+/// pool, each point's scenario built by `build` (label → adversary).
+fn scenario_entries<P, F, G, B>(
+    manifest: &ShardManifest,
+    factory: G,
+    build: B,
+    sink: &StreamSink<'_>,
+) -> Outcomes<ScenarioStats<Bit>>
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P + Sync,
+    G: Fn(&CampaignPoint) -> F + Sync,
+    B: Fn(&CampaignPoint, u64, F) -> ba_sim::ProtocolScenario<'static, P, F> + Sync,
+{
+    ba_sim::par_map(
+        manifest.entries.clone(),
+        manifest.threads,
+        |local, entry| {
+            let mut scenario =
+                build(&entry.point, entry.seed, factory(&entry.point)).trace_mode(TraceMode::Stats);
+            if let Some(r) = &sink.recorder {
+                scenario = scenario.recorder(r.clone());
+            }
+            let result = scenario.run_report();
+            (entry.index, sink.point(local, entry.index, result))
+        },
+    )
+}
+
+/// Runs a falsifier-mode shard's entries on the shard's thread pool.
+fn falsifier_entries<P, F, G>(
+    manifest: &ShardManifest,
+    factory: G,
+    sink: &StreamSink<'_>,
+) -> Outcomes<FalsifierSweepPoint>
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P + Sync,
+    G: Fn(&CampaignPoint) -> F + Sync,
+{
+    ba_sim::par_map(
+        manifest.entries.clone(),
+        manifest.threads,
+        |local, entry| {
+            let fp =
+                falsify_point_recorded(&entry.point, factory(&entry.point), sink.recorder.clone());
+            (entry.index, sink.point(local, entry.index, Ok(fp)))
+        },
+    )
+}
+
+/// What a shard point's result reports to progress and telemetry.
+trait ShardPoint: Encode + Sized {
+    /// `(messages, rounds)` for the point's progress line.
+    fn summary(&self) -> (u64, u64);
+
+    /// Records the finished point on a telemetry recorder, as a `Campaign`
+    /// sweep would.
+    fn record(result: &Result<Self, ba_sim::SimError>, recorder: &dyn Recorder, local: usize) {
+        let (messages, rounds, ok) = summarize(result);
+        ba_sim::record_point_done(recorder, local, messages, rounds, ok);
+    }
+}
+
+fn summarize<T: ShardPoint>(result: &Result<T, ba_sim::SimError>) -> (u64, u64, bool) {
+    match result {
+        Ok(value) => {
+            let (messages, rounds) = value.summary();
+            (messages, rounds, true)
+        }
+        Err(_) => (0, 0, false),
+    }
+}
+
+impl ShardPoint for ScenarioStats<Bit> {
+    fn summary(&self) -> (u64, u64) {
+        (self.total_messages, self.rounds)
+    }
+
+    fn record(result: &Result<Self, ba_sim::SimError>, recorder: &dyn Recorder, local: usize) {
+        ba_sim::record_point(recorder, local, result);
+    }
+}
+
+impl ShardPoint for FalsifierSweepPoint {
+    fn summary(&self) -> (u64, u64) {
+        (self.max_message_complexity, 0)
+    }
+}
+
+impl ShardPoint for CheckSweepPoint {
+    fn summary(&self) -> (u64, u64) {
+        (self.executions, self.max_depth)
+    }
+}
+
+/// The per-point observation state of [`run_shard`]: encodes one
+/// [`ba_dist::PointOutcome`] line (plus, with progress on, a
+/// [`ProgressEvent`] line derived from the same outcome) per finished
+/// point, counting completions monotonically, and records the point on the
+/// optional telemetry recorder.
+struct StreamSink<'a> {
+    emit: &'a (dyn Fn(&str) + Sync),
+    recorder: Option<Arc<dyn Recorder>>,
+    shard: usize,
+    shards: usize,
+    total: usize,
+    progress: bool,
+    done: AtomicUsize,
+    started: Instant,
+}
+
+impl StreamSink<'_> {
+    /// Emits the point's outcome (and progress) lines and hands the result
+    /// back for the trailing report. `local` is the point's position in
+    /// the shard, `index` its global grid index.
+    fn point<T: ShardPoint>(
+        &self,
+        local: usize,
+        index: usize,
+        result: Result<T, ba_sim::SimError>,
+    ) -> Result<T, ba_sim::SimError> {
+        if let Some(r) = &self.recorder {
+            T::record(&result, r.as_ref(), local);
+        }
+        let outcome = ba_dist::PointOutcome { index, result };
+        let mut chunk = String::new();
+        outcome.encode(&mut chunk);
+        if self.progress {
+            let (messages, rounds, ok) = summarize(&outcome.result);
+            let event = ProgressEvent {
+                shard: self.shard,
+                shards: self.shards,
+                done: self.done.fetch_add(1, Ordering::SeqCst) + 1,
+                total: self.total,
+                index,
+                messages,
+                rounds,
+                ok,
+                elapsed_nanos: self.elapsed_nanos(),
+            };
+            chunk.push_str(&event.to_json_line());
+            chunk.push('\n');
+        }
+        (self.emit)(&chunk);
+        outcome.result
+    }
+
+    fn elapsed_nanos(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -422,230 +511,6 @@ pub fn registry_check(
         }
         sweep
     })
-}
-
-/// The check-mode streaming body: while a slice explores, live
-/// [`CoordEvent::Check`] JSONL snapshots flow to `emit` (batched inside
-/// the explorer, so the stream stays cheap), and each finished slice emits
-/// the usual outcome + progress lines before the trailing report — the
-/// states/s + frontier-depth feed `campaign_watch` renders live.
-fn stream_check_entries<P, F, G>(
-    manifest: &ShardManifest,
-    factory: G,
-    progress: bool,
-    emit: &(dyn Fn(&str) + Sync),
-) -> Result<(), String>
-where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
-    G: Fn(&CampaignPoint) -> F + Sync,
-{
-    let sink = StreamSink::new(manifest, progress, emit);
-    let started = Instant::now();
-    let snapshot = move |_local: usize, p: CheckProgress| {
-        let event = CoordEvent::Check {
-            shard: manifest.shard,
-            shards: manifest.shards,
-            states: p.states,
-            executions: p.executions,
-            depth: p.depth,
-            elapsed_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        };
-        emit(&format!("{}\n", event.to_json_line()));
-    };
-    let outcomes = check_entries(
-        manifest,
-        &factory,
-        None,
-        progress
-            .then_some(&snapshot)
-            .map(|s| s as &(dyn Fn(usize, CheckProgress) + Sync)),
-        Some(&sink),
-    )?;
-    emit(
-        &ShardReport {
-            shard: manifest.shard,
-            outcomes,
-        }
-        .to_wire(),
-    );
-    Ok(())
-}
-
-/// The shared per-point emission state behind [`run_manifest_streaming`]:
-/// encodes one [`ba_dist::PointOutcome`] line (plus the optional progress
-/// line) per finished point, counting completions monotonically.
-struct StreamSink<'a> {
-    emit: &'a (dyn Fn(&str) + Sync),
-    shard: usize,
-    shards: usize,
-    total: usize,
-    progress: bool,
-    done: AtomicUsize,
-    started: Instant,
-}
-
-impl<'a> StreamSink<'a> {
-    fn new(manifest: &ShardManifest, progress: bool, emit: &'a (dyn Fn(&str) + Sync)) -> Self {
-        StreamSink {
-            emit,
-            shard: manifest.shard,
-            shards: manifest.shards,
-            total: manifest.entries.len(),
-            progress,
-            done: AtomicUsize::new(0),
-            started: Instant::now(),
-        }
-    }
-
-    /// Emits the point's outcome (and progress) lines and hands the result
-    /// back for the trailing report.
-    fn point<T: Encode>(
-        &self,
-        index: usize,
-        result: Result<T, ba_sim::SimError>,
-        messages: u64,
-        rounds: u64,
-        ok: bool,
-    ) -> Result<T, ba_sim::SimError> {
-        let outcome = ba_dist::PointOutcome { index, result };
-        let mut chunk = String::new();
-        outcome.encode(&mut chunk);
-        if self.progress {
-            let event = ProgressEvent {
-                shard: self.shard,
-                shards: self.shards,
-                done: self.done.fetch_add(1, Ordering::SeqCst) + 1,
-                total: self.total,
-                index,
-                messages,
-                rounds,
-                ok,
-                elapsed_nanos: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            };
-            chunk.push_str(&event.to_json_line());
-            chunk.push('\n');
-        }
-        (self.emit)(&chunk);
-        outcome.result
-    }
-}
-
-fn stream_scenario_entries<P, F, G>(
-    manifest: &ShardManifest,
-    factory: G,
-    search: bool,
-    progress: bool,
-    emit: &(dyn Fn(&str) + Sync),
-) where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
-    G: Fn(&CampaignPoint) -> F + Sync,
-{
-    let sink = StreamSink::new(manifest, progress, emit);
-    let outcomes = ba_sim::par_map(
-        manifest.entries.clone(),
-        manifest.threads,
-        |_local, entry| {
-            let scenario = if search {
-                search_scenario_for(&entry.point, entry.seed, factory(&entry.point))
-            } else {
-                scenario_for(&entry.point, entry.seed, factory(&entry.point))
-            };
-            let result = scenario.trace_mode(TraceMode::Stats).run_report();
-            let (messages, rounds, ok) = match &result {
-                Ok(stats) => (stats.total_messages, stats.rounds, true),
-                Err(_) => (0, 0, false),
-            };
-            (
-                entry.index,
-                sink.point(entry.index, result, messages, rounds, ok),
-            )
-        },
-    );
-    emit(
-        &ShardReport {
-            shard: manifest.shard,
-            outcomes,
-        }
-        .to_wire(),
-    );
-}
-
-fn stream_falsifier_entries<P, F, G>(
-    manifest: &ShardManifest,
-    factory: G,
-    progress: bool,
-    emit: &(dyn Fn(&str) + Sync),
-) where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
-    G: Fn(&CampaignPoint) -> F + Sync,
-{
-    let sink = StreamSink::new(manifest, progress, emit);
-    let outcomes = ba_sim::par_map(
-        manifest.entries.clone(),
-        manifest.threads,
-        |_local, entry| {
-            let fp = falsify_point_recorded(&entry.point, factory(&entry.point), None);
-            let messages = fp.max_message_complexity;
-            (
-                entry.index,
-                sink.point(entry.index, Ok(fp), messages, 0, true),
-            )
-        },
-    );
-    emit(
-        &ShardReport {
-            shard: manifest.shard,
-            outcomes,
-        }
-        .to_wire(),
-    );
-}
-
-/// Translates `campaign.point.done` telemetry events (emitted by the
-/// campaign runner as each grid point completes, carrying the point's
-/// shard-local index) into wire-ready [`ProgressEvent`]s: local index →
-/// global manifest index, monotone completion counting, and worker
-/// wall-clock stamping. All other telemetry is ignored.
-struct ProgressRecorder<F> {
-    shard: usize,
-    shards: usize,
-    total: usize,
-    indices: Vec<usize>,
-    done: AtomicUsize,
-    started: Instant,
-    on_point: F,
-}
-
-impl<F: Fn(ProgressEvent) + Send + Sync> Recorder for ProgressRecorder<F> {
-    fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
-        if name != "campaign.point.done" {
-            return;
-        }
-        let u64_field = |key: &str| {
-            fields.iter().find_map(|(k, v)| match v {
-                FieldValue::U64(v) if *k == key => Some(*v),
-                _ => None,
-            })
-        };
-        let ok = fields
-            .iter()
-            .any(|(k, v)| *k == "ok" && matches!(v, FieldValue::Bool(true)));
-        let local = u64_field("index").unwrap_or(0) as usize;
-        (self.on_point)(ProgressEvent {
-            shard: self.shard,
-            shards: self.shards,
-            done: self.done.fetch_add(1, Ordering::SeqCst) + 1,
-            total: self.total,
-            index: self.indices.get(local).copied().unwrap_or(local),
-            messages: u64_field("messages").unwrap_or(0),
-            rounds: u64_field("rounds").unwrap_or(0),
-            ok,
-            elapsed_nanos: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        });
-    }
 }
 
 /// The in-process reference for a scenario sweep: runs the exact per-point
@@ -797,17 +662,8 @@ where
     with_registry_factory!(protocol, factory => run_points(points, &seed_of, threads, factory, mode, recorder))
 }
 
-fn falsifier_report_with(
-    points: &[CampaignPoint],
-    threads: usize,
-    protocol: &str,
-    recorder: Option<Arc<dyn Recorder>>,
-) -> Result<Vec<FalsifierSweepPoint>, String> {
-    with_registry_factory!(protocol, factory => falsify_points(points, threads, factory, recorder))
-}
-
 /// The in-process reference for a search-mode population evaluation: each
-/// point's adversary label must be an encoded genome ([`genome_label`]),
+/// point's adversary label must be an encoded genome ([`genome_label`](ba_search::genome_label)),
 /// interpreted by [`GenomeModel`] against the registry protocol.
 ///
 /// `coordinator(k shards) == search_campaign_report(…)` for the same grid,
@@ -828,7 +684,6 @@ pub fn search_campaign_report(
         |point| ba_dist::point_seed(base_seed, point),
         threads,
         protocol,
-        None,
     )
 }
 
@@ -837,13 +692,12 @@ fn search_report_with<S>(
     seed_of: S,
     threads: usize,
     protocol: &str,
-    recorder: Option<Arc<dyn Recorder>>,
 ) -> Result<CampaignReport<Bit>, String>
 where
     S: Fn(&CampaignPoint) -> u64 + Sync,
 {
     validate_search_labels(points)?;
-    with_registry_factory!(protocol, factory => run_search_points(points, &seed_of, threads, factory, recorder))
+    with_registry_factory!(protocol, factory => run_search_points(points, &seed_of, threads, factory))
 }
 
 fn run_search_points<P, F, G, S>(
@@ -851,7 +705,6 @@ fn run_search_points<P, F, G, S>(
     seed_of: S,
     threads: usize,
     factory: G,
-    recorder: Option<Arc<dyn Recorder>>,
 ) -> CampaignReport<Bit>
 where
     P: Protocol<Input = Bit, Output = Bit>,
@@ -862,9 +715,6 @@ where
     let mut campaign = Campaign::over(points.to_vec()).trace_mode(TraceMode::Stats);
     if threads > 0 {
         campaign = campaign.threads(threads);
-    }
-    if let Some(r) = recorder {
-        campaign = campaign.recorder(r);
     }
     campaign.run_scenarios(|point| search_scenario_for(point, seed_of(point), factory(point)))
 }
@@ -889,7 +739,9 @@ where
         .adversary(Adversary::model(GenomeModel::new(genome)))
 }
 
-fn validate_search_labels(points: &[CampaignPoint]) -> Result<(), String> {
+fn validate_search_labels<'a>(
+    points: impl IntoIterator<Item = &'a CampaignPoint>,
+) -> Result<(), String> {
     for point in points {
         match genome_from_label(&point.adversary) {
             Ok(Some(_)) => {}
@@ -913,7 +765,7 @@ fn validate_search_labels(points: &[CampaignPoint]) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_labels(points: &[CampaignPoint]) -> Result<(), String> {
+fn validate_labels<'a>(points: impl IntoIterator<Item = &'a CampaignPoint>) -> Result<(), String> {
     for point in points {
         if !ADVERSARIES.contains(&point.adversary.as_str()) {
             return Err(format!(
@@ -956,10 +808,9 @@ where
 }
 
 /// Builds the exact scenario a grid point denotes: protocol instance,
-/// resolved inputs, and the adversary its label names. Both execution paths
-/// — the `Campaign` pool ([`run_points`]) and the streaming per-point path
-/// ([`run_manifest_streaming`]) — build through here, which is what keeps
-/// streamed outcomes bit-identical to pooled ones.
+/// resolved inputs, and the adversary its label names. The in-process
+/// reference ([`run_points`]) and the shard worker ([`run_manifest`]) both
+/// build through here, which is what keeps `merge(k shards) == run(1)`.
 fn scenario_for<P, F>(
     point: &CampaignPoint,
     seed: u64,
@@ -998,31 +849,6 @@ where
         // "none" (validated up front).
         _ => scenario,
     }
-}
-
-fn falsify_points<P, F, G>(
-    points: &[CampaignPoint],
-    threads: usize,
-    factory: G,
-    recorder: Option<Arc<dyn Recorder>>,
-) -> Vec<FalsifierSweepPoint>
-where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
-    G: Fn(&CampaignPoint) -> F + Sync,
-{
-    let mut campaign = Campaign::over(points.to_vec());
-    if threads > 0 {
-        campaign = campaign.threads(threads);
-    }
-    if let Some(r) = &recorder {
-        campaign = campaign.recorder(r.clone());
-    }
-    campaign
-        .map(|point| falsify_point_recorded(point, factory(point), recorder.clone()))
-        .into_iter()
-        .map(|(_, fp)| fp)
-        .collect()
 }
 
 /// Runs a scenario sweep distributed over `shards` worker processes and
@@ -1145,47 +971,12 @@ mod tests {
         assert_eq!(merged, reference);
     }
 
-    #[test]
-    fn progress_streaming_is_observation_only_and_covers_every_point() {
-        use std::sync::Mutex;
-        let points = mixed_grid();
-        let spec = SweepSpec::scenarios(points.clone(), "flood-set").base_seed(0xD15C);
-        let manifest = plan_shards(&spec, 2).remove(1);
-        let plain = run_manifest(&manifest).unwrap();
-        let seen = Arc::new(Mutex::new(Vec::<ProgressEvent>::new()));
-        let sink = seen.clone();
-        let streamed =
-            run_manifest_with_progress(&manifest, move |e| sink.lock().unwrap().push(e)).unwrap();
-        assert_eq!(plain, streamed, "progress must not change the report");
-
-        let events = seen.lock().unwrap();
-        assert_eq!(events.len(), manifest.entries.len());
-        // Every manifest entry's global index appears exactly once, and the
-        // done counter is a permutation of 1..=total.
-        let mut indices: Vec<usize> = events.iter().map(|e| e.index).collect();
-        indices.sort_unstable();
-        let mut expected: Vec<usize> = manifest.entries.iter().map(|e| e.index).collect();
-        expected.sort_unstable();
-        assert_eq!(indices, expected);
-        let mut dones: Vec<usize> = events.iter().map(|e| e.done).collect();
-        dones.sort_unstable();
-        assert_eq!(dones, (1..=events.len()).collect::<Vec<_>>());
-        for e in events.iter() {
-            assert_eq!(e.shard, manifest.shard);
-            assert_eq!(e.shards, manifest.shards);
-            assert_eq!(e.total, manifest.entries.len());
-            assert!(e.ok && e.messages > 0, "{e:?}");
-        }
-    }
-
-    #[test]
-    fn search_manifest_execution_matches_the_in_process_reference() {
+    /// A small genome population over two grid shapes, each point carrying
+    /// its genome as the adversary label.
+    fn genome_points() -> Vec<CampaignPoint> {
         use ba_search::{genome_label, GenomeSpace};
-        use ba_sim::SimRng;
-        // A small genome population over two grid shapes, each point
-        // carrying its genome as the adversary label.
         let mut rng = SimRng::seed_from_u64(0x5EA7C4);
-        let points: Vec<CampaignPoint> = (0..12)
+        (0..12)
             .map(|i| {
                 let (n, t) = if i % 2 == 0 { (5, 1) } else { (7, 2) };
                 let genome = GenomeSpace::new(n, t, 6).random_genome(&mut rng);
@@ -1193,7 +984,150 @@ mod tests {
                     .with_adversary(genome_label(&genome))
                     .with_inputs(if i % 3 == 0 { "majority-one" } else { "zeros" })
             })
-            .collect();
+            .collect()
+    }
+
+    /// Captures `run_manifest_streaming(manifest, true, …)` and checks it
+    /// against `run_manifest(manifest)`: the trailing report is the same
+    /// bytes; there is one outcome line per entry, each equal to that
+    /// index's report item; one progress line per entry, with `done` a
+    /// permutation of `1..=total`. Returns the remaining (snapshot) lines.
+    fn assert_stream_matches_report<T>(manifest: &ShardManifest) -> Vec<String>
+    where
+        T: Decode + PartialEq + std::fmt::Debug,
+    {
+        use std::sync::Mutex;
+        let captured = Mutex::new(String::new());
+        run_manifest_streaming(manifest, true, &|chunk: &str| {
+            captured.lock().unwrap().push_str(chunk);
+        })
+        .unwrap();
+        let captured = captured.into_inner().unwrap();
+        let plain = run_manifest(manifest).unwrap();
+        assert!(
+            captured.ends_with(&plain),
+            "{}: the stream must end with the report bytes",
+            manifest.mode
+        );
+        let report: ShardReport<T> = ShardReport::from_wire(&plain).unwrap();
+        let total = manifest.entries.len();
+        assert_eq!(report.outcomes.len(), total);
+
+        let mut outcome_indices = Vec::new();
+        let mut progress = Vec::new();
+        let mut others = Vec::new();
+        for line in captured[..captured.len() - plain.len()].lines() {
+            if line.starts_with("outcome ") {
+                let outcome: ba_dist::PointOutcome<T> =
+                    ba_dist::PointOutcome::from_wire(&format!("{line}\n")).unwrap();
+                let (_, expected) = report
+                    .outcomes
+                    .iter()
+                    .find(|(index, _)| *index == outcome.index)
+                    .expect("streamed index is in the report");
+                assert_eq!(&outcome.result, expected, "{}", manifest.mode);
+                outcome_indices.push(outcome.index);
+            } else if let Some(event) = ProgressEvent::parse(line) {
+                assert_eq!(
+                    (event.shard, event.shards),
+                    (manifest.shard, manifest.shards)
+                );
+                assert_eq!(event.total, total);
+                progress.push(event);
+            } else {
+                others.push(line.to_string());
+            }
+        }
+        let mut expected: Vec<usize> = manifest.entries.iter().map(|e| e.index).collect();
+        expected.sort_unstable();
+        outcome_indices.sort_unstable();
+        assert_eq!(
+            outcome_indices, expected,
+            "{}: one outcome per entry",
+            manifest.mode
+        );
+        let mut progress_indices: Vec<usize> = progress.iter().map(|e| e.index).collect();
+        progress_indices.sort_unstable();
+        assert_eq!(
+            progress_indices, expected,
+            "{}: one progress line per entry",
+            manifest.mode
+        );
+        let mut dones: Vec<usize> = progress.iter().map(|e| e.done).collect();
+        dones.sort_unstable();
+        assert_eq!(dones, (1..=total).collect::<Vec<_>>(), "{}", manifest.mode);
+        others
+    }
+
+    #[test]
+    fn stream_matches_the_report_in_every_mode() {
+        use crate::check::CheckLabel;
+        use ba_sim::ScenarioStats;
+
+        let scenarios = SweepSpec::scenarios(mixed_grid(), "flood-set").base_seed(0xD15C);
+        let manifest = plan_shards(&scenarios, 2).remove(1);
+        let rest = assert_stream_matches_report::<ScenarioStats<Bit>>(&manifest);
+        assert!(rest.is_empty(), "{rest:?}");
+
+        let falsifier =
+            SweepSpec::falsifier(crate::falsifier_points(&[(8, 2), (10, 2)]), "leader-echo");
+        let manifest = plan_shards(&falsifier, 1).remove(0);
+        let rest = assert_stream_matches_report::<FalsifierSweepPoint>(&manifest);
+        assert!(rest.is_empty(), "{rest:?}");
+
+        let search = SweepSpec::search(genome_points(), "phase-king-weak").base_seed(0xF00D);
+        let manifest = plan_shards(&search, 3).remove(0);
+        let rest = assert_stream_matches_report::<ScenarioStats<Bit>>(&manifest);
+        assert!(rest.is_empty(), "{rest:?}");
+
+        let label = CheckLabel::new(1).send_only();
+        let slices = label.slices(3).into_iter().map(|slice| {
+            CampaignPoint::new(4, 1)
+                .with_adversary(slice.render())
+                .with_inputs("zeros")
+        });
+        let check = SweepSpec::check(slices, "one-round-all-to-all").worker_threads(2);
+        let manifest = plan_shards(&check, 1).remove(0);
+        let snapshots = assert_stream_matches_report::<CheckSweepPoint>(&manifest);
+        assert!(
+            !snapshots.is_empty(),
+            "check mode streams exploration snapshots"
+        );
+        for line in &snapshots {
+            assert!(
+                matches!(
+                    CoordEvent::parse(line),
+                    Some(CoordEvent::Check { shard: 0, .. })
+                ),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn recorded_shard_telemetry_matches_the_recorded_campaign() {
+        // The worker records each point as a `Campaign` sweep does, so one
+        // recorded shard and the recorded in-process sweep of the same grid
+        // fill the deterministic channel identically.
+        use ba_obs::Aggregator;
+        let points = mixed_grid();
+        let spec = SweepSpec::scenarios(points.clone(), "flood-set").base_seed(0xD15C);
+        let shard = Arc::new(Aggregator::new());
+        run_manifest_recorded(&plan_shards(&spec, 1)[0], Some(shard.clone())).unwrap();
+        let campaign = Arc::new(Aggregator::new());
+        scenario_campaign_report_recorded(&points, "flood-set", 0xD15C, 1, campaign.clone())
+            .unwrap();
+        let shard = shard.snapshot().deterministic();
+        assert_eq!(shard, campaign.snapshot().deterministic());
+        assert_eq!(
+            shard.counters.get("campaign.points").copied(),
+            Some(points.len() as u64)
+        );
+    }
+
+    #[test]
+    fn search_manifest_execution_matches_the_in_process_reference() {
+        let points = genome_points();
         let reference = search_campaign_report(&points, "phase-king-weak", 0xF00D, 1).unwrap();
         let spec = SweepSpec::search(points.clone(), "phase-king-weak").base_seed(0xF00D);
         let reports: Vec<ShardReport<ba_sim::ScenarioStats<Bit>>> = plan_shards(&spec, 3)
@@ -1255,8 +1189,11 @@ mod tests {
             let report = scenario_campaign_report(&points, label, 1, 1)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(report.outcomes.len(), 1, "{label}");
-            let sweep = falsifier_report_with(&points, 1, label, None).unwrap();
-            assert_eq!(sweep.len(), 1, "{label}");
+            let falsifier = SweepSpec::falsifier(points.clone(), label);
+            let wire = run_manifest(&plan_shards(&falsifier, 1)[0])
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let sweep: ShardReport<FalsifierSweepPoint> = ShardReport::from_wire(&wire).unwrap();
+            assert_eq!(sweep.outcomes.len(), 1, "{label}");
         }
     }
 

@@ -124,38 +124,40 @@ fn worker_processes_run_shards_concurrently_with_retries_enabled() {
 
 #[test]
 fn worker_binary_supports_file_based_manifests() {
-    // The --manifest/--out flags are the file transport for runs where
-    // shards are dispatched out-of-band (e.g. a batch queue).
+    // `--manifest FILE` with stdout redirected is the file transport for
+    // runs where shards are dispatched out-of-band (e.g. a batch queue):
+    // the captured stream ends with the shard report.
     use ba_dist::{plan_shards, Decode, Encode, ShardReport};
     use ba_sim::{Bit, ScenarioStats};
 
     let spec = SweepSpec::scenarios(mixed_grid(), "flood-set").base_seed(99);
     let manifest = &plan_shards(&spec, 2)[1];
-    let dir = std::env::temp_dir();
-    let manifest_path = dir.join("ba_dist_test_manifest.wire");
-    let out_path = dir.join("ba_dist_test_report.wire");
+    let manifest_path =
+        std::env::temp_dir().join(format!("ba_dist_test_manifest_{}.wire", std::process::id()));
     std::fs::write(&manifest_path, manifest.to_wire()).unwrap();
 
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_campaign_worker"))
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_campaign_worker"))
         .arg("--manifest")
         .arg(&manifest_path)
-        .arg("--out")
-        .arg(&out_path)
-        .status()
+        .output()
         .expect("spawn worker");
-    assert!(status.success());
+    let _ = std::fs::remove_file(manifest_path);
+    assert!(output.status.success());
 
-    let report: ShardReport<ScenarioStats<Bit>> =
-        ShardReport::from_wire(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+    let stdout = String::from_utf8(output.stdout).expect("worker stdout");
+    let report_text: String = stdout
+        .lines()
+        .filter(|line| !line.starts_with("outcome "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let report: ShardReport<ScenarioStats<Bit>> = ShardReport::from_wire(&report_text).unwrap();
     assert_eq!(report.shard, 1);
     assert_eq!(report.outcomes.len(), manifest.entries.len());
-    let _ = std::fs::remove_file(manifest_path);
-    let _ = std::fs::remove_file(out_path);
 }
 
 #[test]
 fn chaos_injected_worker_processes_reproduce_the_reference_bit_for_bit() {
-    // Real worker processes in `--stream --progress` dress, wrapped in the
+    // Real worker processes with `--progress`, wrapped in the
     // deterministic chaos transport (crashes, stalls, truncations, corrupt
     // lines, dropped connections; relenting after two faulted attempts per
     // shard). The point-level recovery fabric must absorb every fault and
@@ -169,10 +171,7 @@ fn chaos_injected_worker_processes_reproduce_the_reference_bit_for_bit() {
     let spec = SweepSpec::scenarios(points.clone(), "dolev-strong").base_seed(0xC0DE);
     let reference = scenario_campaign_report(&points, "dolev-strong", 0xC0DE, 0).unwrap();
     for seed in [1u64, 7, 23] {
-        let chaos = ChaosTransport::new(
-            worker().with_stream(true).with_progress(true),
-            ChaosPlan::new(seed),
-        );
+        let chaos = ChaosTransport::new(worker().with_progress(true), ChaosPlan::new(seed));
         let report = Coordinator::new(chaos, 3)
             .retries(4)
             .backoff(Backoff::none())
@@ -188,10 +187,11 @@ fn chaos_injected_worker_processes_reproduce_the_reference_bit_for_bit() {
 
 #[test]
 fn streamed_worker_stdout_carries_the_plain_report_bit_for_bit() {
-    // `--stream` interleaves progress JSONL and checksummed outcome lines
-    // before the report; stripping those must leave the *byte-identical*
-    // plain report, and every streamed outcome must decode to the report's
-    // value for its index.
+    // The worker interleaves checksummed outcome lines (and, with
+    // `--progress`, progress JSONL) before the report; stripping those must
+    // leave the library's `run_manifest` bytes exactly, and every streamed
+    // outcome must decode to the report's value for its index.
+    use ba_bench::dist::run_manifest;
     use ba_dist::{plan_shards, Decode, Encode, PointOutcome, ShardReport};
     use ba_sim::{Bit, ScenarioStats};
 
@@ -218,8 +218,8 @@ fn streamed_worker_stdout_carries_the_plain_report_bit_for_bit() {
         String::from_utf8(output.stdout).expect("worker stdout")
     };
 
-    let plain = run(&[]);
-    let streamed = run(&["--stream", "--progress"]);
+    let plain = run_manifest(manifest).expect("library shard run");
+    let streamed = run(&["--progress"]);
 
     let mut report_text = String::new();
     let mut outcome_lines = Vec::new();
@@ -236,7 +236,7 @@ fn streamed_worker_stdout_carries_the_plain_report_bit_for_bit() {
     }
     assert_eq!(
         report_text, plain,
-        "the trailing streamed report must be byte-identical to the plain run"
+        "the trailing streamed report must be byte-identical to run_manifest"
     );
 
     let report: ShardReport<ScenarioStats<Bit>> = ShardReport::from_wire(&plain).unwrap();

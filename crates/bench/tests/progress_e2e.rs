@@ -21,8 +21,8 @@ fn grid_points() -> Vec<CampaignPoint> {
 }
 
 /// Runs one shard's worker binary with `--progress`, optionally throttled,
-/// and returns its full stdout (JSONL events interleaved before the wire
-/// report).
+/// and returns its full stdout (outcome lines and JSONL events interleaved
+/// before the wire report).
 fn run_worker(manifest_wire: &str, shard: usize, delay_ms: Option<u64>) -> String {
     let dir = std::env::temp_dir();
     let path = dir.join(format!(
@@ -99,11 +99,16 @@ fn throttled_shard_is_flagged_straggler_and_reports_survive_the_filter() {
 
     let watched = run_watch(&format!("{fast}{slow}"));
 
-    // Non-JSON wire lines passed through untouched. A shard report spans
-    // multiple lines (a `shard-report` header then its records), so regroup
-    // the passthrough lines at each header before decoding.
+    // Non-JSON wire lines passed through untouched. Each worker streamed
+    // one `outcome` line per point before its report; skip those. A shard
+    // report spans multiple lines (a `shard-report` header then its
+    // records), so regroup the remaining lines at each header before
+    // decoding.
     let mut chunks: Vec<String> = Vec::new();
-    for line in watched.lines().filter(|l| !l.starts_with('{')) {
+    for line in watched
+        .lines()
+        .filter(|l| !l.starts_with('{') && !l.starts_with("outcome "))
+    {
         if line.starts_with("shard-report ") {
             chunks.push(String::new());
         }

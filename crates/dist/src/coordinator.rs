@@ -5,19 +5,19 @@
 //! The recovery fabric replaces whole-shard retry with three cooperating
 //! mechanisms:
 //!
-//! * **streamed harvest** — workers in `--stream` mode emit one checksummed
-//!   [`PointOutcome`](crate::shard::PointOutcome) line per completed point;
-//!   the coordinator banks them as they arrive, so a worker that dies after
-//!   k points only forfeits the points it had not yet finished. (Workers
-//!   without streaming still work: their final [`ShardReport`] is harvested
-//!   wholesale.)
+//! * **streamed harvest** — workers emit one checksummed [`PointOutcome`]
+//!   line per completed point; the coordinator banks them as they arrive,
+//!   so a worker that dies after k points only forfeits the points it had
+//!   not yet finished. (Transports that only return a final
+//!   [`ShardReport`], such as in-process closures, still work: the report
+//!   is harvested wholesale.)
 //! * **no-progress watchdog** — with [`Coordinator::watchdog`] set, an
 //!   attempt that produces no output lines for the given duration is
 //!   declared dead: its [`AbortHandle`](crate::transport::AbortHandle)
 //!   fires (killing the worker / closing the connection) and the attempt
-//!   fails with [`DistError::Stalled`]. Liveness is driven by the
-//!   `--progress` JSONL stream, not wall-clock totals — a slow shard that
-//!   keeps finishing points is never killed.
+//!   fails with [`DistError::Stalled`]. Liveness is driven by the streamed
+//!   per-point lines, not wall-clock totals — a slow shard that keeps
+//!   finishing points is never killed.
 //! * **work-stealing re-plan** — a failed attempt's *unfinished* points are
 //!   requeued (after a deterministic exponential backoff with seeded
 //!   jitter, [`Backoff`]) and picked up by whichever fabric thread frees up
@@ -329,9 +329,10 @@ impl<R: ShardTransport> Coordinator<R> {
 
     /// Arms the no-progress watchdog: an attempt producing no output lines
     /// for `timeout` is aborted and counted as failed ([`DistError::Stalled`]).
-    /// Any line — progress JSONL, streamed outcome, report — resets the
-    /// clock, so slow-but-alive workers are never killed. Off by default
-    /// (transports that buffer a whole report produce no interim lines).
+    /// Any line — a streamed outcome (workers emit one per finished point),
+    /// progress JSONL, the report — resets the clock, so slow-but-alive
+    /// workers are never killed. Off by default (transports that buffer a
+    /// whole report produce no interim lines).
     pub fn watchdog(mut self, timeout: Duration) -> Self {
         self.stall_timeout = Some(timeout);
         self
@@ -415,7 +416,7 @@ impl<R: ShardTransport> Coordinator<R> {
         sweep
     }
 
-    /// Runs a [`ShardMode::Scenarios`] sweep and reassembles the exact
+    /// Runs a [`ShardMode::Scenarios`](crate::ShardMode::Scenarios) sweep and reassembles the exact
     /// `CampaignReport` a single-process
     /// [`ba_sim::Campaign::run_scenarios`] over the same grid produces.
     ///

@@ -33,11 +33,12 @@
 //!   [`CoordEvent`]s). On budget exhaustion the partial entry points
 //!   degrade to typed [`PartialSweep`] / [`PartialReport`] values.
 //! * [`progress`] — streaming per-point progress: the JSONL records
-//!   workers emit in `--progress` mode ([`ProgressEvent`]), the
-//!   coordinator's observer stream ([`CoordEvent`]), and the rolling
-//!   per-shard aggregates ([`LiveAggregates`]: points/sec, ETA, straggler
-//!   flagging, malformed-line gauge, partial coverage) behind the
-//!   `campaign_watch` dashboard.
+//!   workers add after each outcome line with `--progress`
+//!   ([`ProgressEvent`]), the coordinator's observer stream
+//!   ([`CoordEvent`]), and the rolling per-shard aggregates
+//!   ([`LiveAggregates`]: points/sec, ETA, straggler flagging,
+//!   malformed-line gauge, partial coverage) behind the `campaign_watch`
+//!   dashboard.
 //!
 //! The worker side lives in `ba-bench` (`campaign_worker` binary + protocol
 //! registry), because resolving protocol labels needs the protocol crates.

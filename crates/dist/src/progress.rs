@@ -1,9 +1,10 @@
 //! Streaming per-point campaign progress.
 //!
-//! Workers in `--progress` mode interleave one JSONL record per completed
-//! point with their wire-format report on stdout. JSON lines start with
-//! `{`, wire records never do, so the coordinator can split the stream
-//! line-by-line without framing. This module defines the record
+//! Workers run with `--progress` follow each streamed outcome line with one
+//! JSONL record for the completed point, ahead of their wire-format report
+//! on stdout. JSON lines start with `{`, wire records never do, so the
+//! coordinator can split the stream line-by-line without framing. This
+//! module defines the record
 //! ([`ProgressEvent`]), the coordinator-side observer stream
 //! ([`CoordEvent`]), and the rolling per-shard aggregates a dashboard
 //! renders ([`LiveAggregates`]): points/sec per shard, ETA, and straggler
@@ -18,8 +19,8 @@ use std::fmt;
 
 use ba_obs::{json_escape, parse_json_line};
 
-/// One per-point progress record, as emitted by a worker in `--progress`
-/// mode: `{"type":"point","shard":0,"shards":2,"done":3,"total":9,...}`.
+/// One per-point progress record, as emitted by a worker run with
+/// `--progress`: `{"type":"point","shard":0,"shards":2,"done":3,"total":9,...}`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ProgressEvent {
     /// The shard that completed the point.

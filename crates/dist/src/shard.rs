@@ -95,7 +95,7 @@ pub struct ShardReport<T> {
 /// One finished grid point streamed back mid-shard, before the final
 /// [`ShardReport`].
 ///
-/// In `--stream` mode workers emit one of these per completed point, which
+/// Workers emit one of these per completed point, which
 /// is what makes point-level recovery possible: the coordinator harvests
 /// them as they arrive, so a worker that crashes after k points only
 /// forfeits the points it had not yet finished. The global grid `index`

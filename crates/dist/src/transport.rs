@@ -143,7 +143,6 @@ pub struct WorkerCommand {
     program: PathBuf,
     args: Vec<String>,
     progress: bool,
-    stream: bool,
 }
 
 impl WorkerCommand {
@@ -153,7 +152,6 @@ impl WorkerCommand {
             program: program.into(),
             args: Vec::new(),
             progress: false,
-            stream: false,
         }
     }
 
@@ -163,21 +161,19 @@ impl WorkerCommand {
         self
     }
 
-    /// Passes `--progress` to the worker, asking it to interleave one JSONL
-    /// progress record per completed point with the wire report. Progress
-    /// doubles as the liveness signal for the coordinator's no-progress
-    /// watchdog.
+    /// Passes `--progress` to the worker, asking it to follow each
+    /// streamed `outcome` line with one JSONL progress record for the
+    /// observer stream and the `campaign_watch` dashboard.
     pub fn with_progress(mut self, progress: bool) -> Self {
         self.progress = progress;
         self
     }
 
-    /// Passes `--stream` to the worker, asking it to emit one checksummed
-    /// `outcome` record per completed point. Streamed outcomes are what
-    /// make point-level recovery possible: a crashed worker only forfeits
-    /// the points it had not yet finished.
-    pub fn with_stream(mut self, stream: bool) -> Self {
-        self.stream = stream;
+    /// Does nothing, whatever `stream` is: workers always emit one
+    /// checksummed `outcome` record per completed point, which is what
+    /// makes point-level recovery possible. Kept so callers written when
+    /// streaming was optional still compile.
+    pub fn with_stream(self, _stream: bool) -> Self {
         self
     }
 
@@ -326,9 +322,6 @@ impl ShardTransport for WorkerCommand {
         if self.progress {
             command.arg("--progress");
         }
-        if self.stream {
-            command.arg("--stream");
-        }
         let mut child = command
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -458,7 +451,8 @@ impl ShardTransport for TcpTransport {
 /// `worker-error detail=…` line, which the coordinator turns into a failed
 /// attempt.
 ///
-/// Serves `max_conns` connections (`None` = until the listener errors).
+/// Serves `max_conns` connections (`None` = until the listener errors);
+/// with `Some(0)` it returns at once, without accepting.
 ///
 /// # Errors
 ///
@@ -472,12 +466,8 @@ pub fn serve_shards<H>(
 where
     H: Fn(&ShardManifest, &mut (dyn FnMut(&str) + Send)) -> Result<(), String>,
 {
-    for (served, conn) in listener.incoming().enumerate() {
-        let stream = conn?;
-        let _ = serve_connection(stream, &handler);
-        if max_conns.is_some_and(|m| served + 1 >= m) {
-            break;
-        }
+    for conn in listener.incoming().take(max_conns.unwrap_or(usize::MAX)) {
+        let _ = serve_connection(conn?, &handler);
     }
     Ok(())
 }
@@ -843,6 +833,22 @@ mod tests {
     fn manifest() -> ShardManifest {
         let spec = SweepSpec::scenarios((0..3).map(|i| CampaignPoint::new(4 + i, 1)), "test");
         plan_shards(&spec, 1).remove(0)
+    }
+
+    #[test]
+    fn serve_shards_with_a_zero_connection_cap_returns_without_accepting() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = serve_shards(listener, Some(0), |_, _| {
+                panic!("no connection may be served")
+            });
+            let _ = done.send(result.is_ok());
+        });
+        let ok = returned
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("serve_shards(Some(0)) blocked on accept");
+        assert!(ok);
     }
 
     #[test]

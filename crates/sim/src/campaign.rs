@@ -211,16 +211,7 @@ impl Campaign {
             if let (Some(r), Some(started)) = (&recorder, started) {
                 let nanos = elapsed_nanos(started);
                 r.timing("campaign.point.wall", nanos, &[]);
-                r.counter("campaign.points", 1, &[]);
-                r.event(
-                    "campaign.point.done",
-                    &[
-                        ("index", i.into()),
-                        ("messages", 0u64.into()),
-                        ("rounds", 0u64.into()),
-                        ("ok", true.into()),
-                    ],
-                );
+                record_point_done(r.as_ref(), i, 0, 0, true);
                 if let Some(m) = &meter {
                     m.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
                 }
@@ -283,15 +274,16 @@ fn elapsed_nanos(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Records one completed grid point's deterministic counters, plus a
-/// `campaign.point.done` event carrying the point's grid index — the hook
-/// progress streamers (the `campaign_worker --progress` recorder) key on.
-fn record_point<O>(
+/// Records one completed scenario point's deterministic counters (messages,
+/// per-point message and round histograms, violations, errors), then its
+/// [`record_point_done`]. Used by [`Campaign::run_scenarios`] and by shard
+/// workers that run scenario points outside a `Campaign`, so both record
+/// the same telemetry.
+pub fn record_point<O>(
     recorder: &dyn Recorder,
     index: usize,
     result: &Result<ScenarioStats<O>, SimError>,
 ) {
-    recorder.counter("campaign.points", 1, &[]);
     let (messages, rounds, ok) = match result {
         Ok(stats) => {
             recorder.counter("campaign.messages", stats.total_messages, &[]);
@@ -307,6 +299,20 @@ fn record_point<O>(
             (0, 0, false)
         }
     };
+    record_point_done(recorder, index, messages, rounds, ok);
+}
+
+/// Records one completed point of any kind: the `campaign.points` counter
+/// and a `campaign.point.done` event carrying the point's index in its
+/// sweep, its message and round counts, and whether it ran without error.
+pub fn record_point_done(
+    recorder: &dyn Recorder,
+    index: usize,
+    messages: u64,
+    rounds: u64,
+    ok: bool,
+) {
+    recorder.counter("campaign.points", 1, &[]);
     recorder.event(
         "campaign.point.done",
         &[

@@ -38,7 +38,7 @@
 //! (`swap_omission`, `merge`, the Ω(t²) falsifier) live in `ba-core` and
 //! operate on the [`Execution`] values produced here.
 //!
-//! What a run *records* is pluggable ([`TraceSink`]): [`Scenario::run`]
+//! What a run *records* is pluggable ([`TraceSink`]): [`run`](ProtocolScenario::run)
 //! materializes the full [`Execution`] via the [`FullTrace`] sink, while
 //! [`run_stats`](ProtocolScenario::run_stats) and [`Campaign`] sweeps
 //! default to the [`StatsSink`] fast path ([`TraceMode::Stats`]) — identical
@@ -148,7 +148,10 @@ pub use arena::{
 pub use byzantine::{
     ByzantineBehavior, FollowThenCrash, HonestMimic, ReplayByzantine, SilentByzantine,
 };
-pub use campaign::{Campaign, CampaignPoint, CampaignReport, ScenarioOutcome, ScenarioStats};
+pub use campaign::{
+    record_point, record_point_done, Campaign, CampaignPoint, CampaignReport, ScenarioOutcome,
+    ScenarioStats,
+};
 pub use error::SimError;
 pub use execution::{
     DecisionOutcome, Execution, ExecutionInvariantError, FaultMode, ProcessRecord, RoundFragment,

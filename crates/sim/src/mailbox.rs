@@ -449,7 +449,7 @@ impl<M: Payload> Outbox<M> {
     /// Removes and yields every queued message in receiver order, leaving
     /// the outbox empty (capacity intact). Broadcast payloads are cloned per
     /// receiver (the last one is moved) — the executor's routing loop avoids
-    /// this entirely via [`take_broadcast`](Outbox::take_broadcast).
+    /// this entirely via `Outbox::take_broadcast`.
     pub fn drain(&mut self) -> OutboxDrain<'_, M> {
         let upper = self.upper();
         OutboxDrain {

@@ -130,7 +130,7 @@ fn main() {
         let seed = chaos_seed.unwrap_or(0xBAD);
         println!("\nunrecoverable chaos (seed {seed}): expecting partial coverage");
         let chaos = ChaosTransport::new(
-            worker.clone().with_stream(true).with_progress(true),
+            worker.clone().with_progress(true),
             ChaosPlan::unrecoverable(seed),
         );
         let partial = Coordinator::new(chaos, shards)
@@ -171,10 +171,7 @@ fn main() {
     let report = match chaos_seed {
         Some(seed) => {
             println!("\nrecoverable chaos (seed {seed}): fabric must absorb every fault");
-            let chaos = ChaosTransport::new(
-                worker.with_stream(true).with_progress(true),
-                ChaosPlan::new(seed),
-            );
+            let chaos = ChaosTransport::new(worker.with_progress(true), ChaosPlan::new(seed));
             let mut coordinator = Coordinator::new(chaos, shards)
                 .retries(4)
                 .backoff(Backoff {

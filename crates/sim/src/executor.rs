@@ -147,11 +147,20 @@ impl<P: Protocol> Slot<'_, P> {
 ///
 /// Routing buffers are dense and run-long: one reusable [`Inbox`] slab per
 /// process (cleared by the sink each round), outboxes drained by move. A
-/// delivered payload is moved — never cloned — from the sender's outbox into
-/// the receiver's inbox; only a full-trace sink pays clone costs. The
-/// envelope queue for delivery rescheduling is materialized **only** when
-/// the model asks for it ([`FaultModel::reorders`]), so non-scheduling
-/// models keep the dense per-sender fast path.
+/// unicast payload is moved — never cloned — from the sender's outbox into
+/// the receiver's inbox; a broadcast payload is cloned once per delivering
+/// edge. The envelope queue for delivery rescheduling is materialized
+/// **only** when the model asks for it ([`FaultModel::reorders`]), so
+/// non-scheduling models keep the dense per-sender fast path.
+///
+/// That fast path decides each broadcast fan-out in one
+/// [`FaultModel::route_broadcast`] call, which sees the traffic counters as
+/// they stood before the fan-out. When every decision is
+/// [`Routing::Deliver`] there is nothing to blame-check, so the executor
+/// charges the sender once and runs a bulk loop of sink event, receiver
+/// counter and inbox delivery; any other fan-out routes edge by edge with
+/// the blame and forge checks. Both paths emit the same sink events in the
+/// same order.
 ///
 /// Corruption is dynamic: the model's [`FaultModel::begin_round`]
 /// directives evolve the *currently corrupted* set (who may be blamed right
@@ -288,9 +297,10 @@ where
             //
             // A pure-broadcast outbox (the dominant shape: every implemented
             // protocol is all-to-all) is fanned out **by reference** from its
-            // single payload: the model still observes one `route` call per
-            // (sender, receiver) edge in the identical order, but no clone
-            // happens until final delivery into the receiver's inbox slot.
+            // single payload: the model decides the whole fan-out in one
+            // `route_broadcast` call, in the identical edge order, and no
+            // clone happens until final delivery into the receiver's inbox
+            // slot. The sender's counter is charged once per fan-out.
             for sender in ProcessId::all(n) {
                 let mut outbox = std::mem::take(&mut outboxes[sender.index()]);
                 if outbox.unicast_len() == 0 {
@@ -310,19 +320,33 @@ where
                             got: routings.len(),
                         });
                     }
-                    for (receiver, routing) in mask.iter().zip(routings.drain(..)) {
-                        route_shared::<P, S>(
-                            routing,
-                            round,
-                            sender,
-                            receiver,
-                            &payload,
-                            &corrupted,
-                            &mut sent_count,
-                            &mut delivered_count,
-                            &mut inboxes,
-                            &mut sink,
-                        )?;
+                    if routings.iter().all(|r| matches!(r, Routing::Deliver)) {
+                        // Bulk path (no blame, no forge to check): every
+                        // edge is delivered, so only the sink event, the
+                        // receiver's counter and the inbox slot remain.
+                        routings.clear();
+                        sent_count[sender.index()] += mask.len() as u64;
+                        for receiver in mask.iter() {
+                            sink.sent(round, sender, receiver, &payload);
+                            delivered_count[receiver.index()] += 1;
+                            inboxes[receiver.index()].deliver(sender, payload.clone());
+                        }
+                    } else {
+                        let mut sent = 0u64;
+                        for (receiver, routing) in mask.iter().zip(routings.drain(..)) {
+                            sent += u64::from(route_shared::<P, S>(
+                                routing,
+                                round,
+                                sender,
+                                receiver,
+                                &payload,
+                                &corrupted,
+                                &mut delivered_count,
+                                &mut inboxes,
+                                &mut sink,
+                            )?);
+                        }
+                        sent_count[sender.index()] += sent;
                     }
                 } else {
                     // Mixed unicast + broadcast round (rare): the merged
@@ -534,7 +558,9 @@ where
 /// [`route_one`] for a broadcast edge: the payload stays shared; a clone
 /// happens only when this edge actually delivers into an inbox slot or when
 /// a sink takes ownership of an omitted/forged payload. Same blame rules,
-/// counters, and sink-event order as the owned path.
+/// receiver counters, and sink-event order as the owned path; the sender's
+/// counter is left to the caller, which charges the whole fan-out at once,
+/// so this returns whether the edge counts as sent.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn route_shared<P, S>(
@@ -544,11 +570,10 @@ fn route_shared<P, S>(
     receiver: ProcessId,
     payload: &P::Msg,
     corrupted: &BTreeSet<ProcessId>,
-    sent_count: &mut [u64],
     delivered_count: &mut [u64],
     inboxes: &mut [Inbox<P::Msg>],
     sink: &mut S,
-) -> Result<(), SimError>
+) -> Result<bool, SimError>
 where
     P: Protocol,
     S: TraceSink<P>,
@@ -564,17 +589,18 @@ where
     match routing {
         Routing::Deliver => {
             sink.sent(round, sender, receiver, payload);
-            sent_count[sender.index()] += 1;
             delivered_count[receiver.index()] += 1;
             inboxes[receiver.index()].deliver(sender, payload.clone());
+            Ok(true)
         }
         Routing::SendOmit => {
             sink.send_omitted(round, sender, receiver, payload.clone());
+            Ok(false)
         }
         Routing::ReceiveOmit => {
             sink.sent(round, sender, receiver, payload);
-            sent_count[sender.index()] += 1;
             sink.receive_omitted(round, sender, receiver, payload.clone());
+            Ok(true)
         }
         Routing::Forge(forged) => {
             if !corrupted.contains(&sender) {
@@ -584,12 +610,11 @@ where
                 });
             }
             sink.sent(round, sender, receiver, &forged);
-            sent_count[sender.index()] += 1;
             delivered_count[receiver.index()] += 1;
             inboxes[receiver.index()].deliver(sender, forged);
+            Ok(true)
         }
     }
-    Ok(())
 }
 
 fn validate_outbox<M: Payload>(
@@ -1315,6 +1340,113 @@ mod tests {
         };
         assert_eq!(scenario().run().unwrap_err(), expected);
         assert_eq!(scenario().run_stats().unwrap_err(), expected);
+    }
+
+    #[test]
+    fn fan_outs_see_counters_of_earlier_rounds_and_lower_senders_only() {
+        use crate::fault::{ExecutionView, FaultBudget, FaultModel, Routing};
+        use crate::mailbox::ReceiverMask;
+
+        /// One `route_broadcast` call: what the model saw and decided.
+        struct Call {
+            round: Round,
+            sender: ProcessId,
+            sent: Vec<u64>,
+            delivered: Vec<u64>,
+            decided: Vec<(ProcessId, Routing<Bit>)>,
+        }
+
+        /// Delivers everything except p1 → p2 in round 2, which p2
+        /// receive-omits, so round 1 takes the bulk path and p1's round-2
+        /// fan-out the per-edge path.
+        #[derive(Default)]
+        struct Recorder {
+            calls: Vec<Call>,
+        }
+        impl FaultModel<Bit> for Recorder {
+            fn budget(&self) -> FaultBudget {
+                FaultBudget::Static([ProcessId(2)].into_iter().collect())
+            }
+            fn route(
+                &mut self,
+                view: ExecutionView<'_>,
+                sender: ProcessId,
+                receiver: ProcessId,
+                _: &Bit,
+            ) -> Routing<Bit> {
+                if (view.round, sender, receiver) == (Round(2), ProcessId(1), ProcessId(2)) {
+                    Routing::ReceiveOmit
+                } else {
+                    Routing::Deliver
+                }
+            }
+            fn route_broadcast(
+                &mut self,
+                view: ExecutionView<'_>,
+                sender: ProcessId,
+                mask: &ReceiverMask,
+                payload: &Bit,
+                out: &mut Vec<Routing<Bit>>,
+            ) {
+                let decided: Vec<_> = mask
+                    .iter()
+                    .map(|r| (r, self.route(view, sender, r, payload)))
+                    .collect();
+                out.extend(decided.iter().map(|(_, routing)| routing.clone()));
+                self.calls.push(Call {
+                    round: view.round,
+                    sender,
+                    sent: view.sent.to_vec(),
+                    delivered: view.delivered.to_vec(),
+                    decided,
+                });
+            }
+        }
+
+        for stats in [false, true] {
+            let mut recorder = Recorder::default();
+            let scenario = Scenario::new(4, 1)
+                .protocol(|_| Chatter::new(3, 2))
+                .uniform_input(Bit::One)
+                .adversary(crate::Adversary::model(&mut recorder));
+            if stats {
+                scenario.run_stats().unwrap();
+            } else {
+                scenario.run().unwrap().validate().unwrap();
+            }
+            let calls = recorder.calls;
+            assert_eq!(calls.len(), 8, "4 senders × 2 rounds");
+            // Replaying the decisions in call order must reproduce every
+            // snapshot: each fan-out sees exactly the traffic routed before it.
+            let (mut sent, mut delivered) = (vec![0u64; 4], vec![0u64; 4]);
+            for call in &calls {
+                assert_eq!(
+                    (&call.sent, &call.delivered),
+                    (&sent, &delivered),
+                    "round {}, sender {}",
+                    call.round,
+                    call.sender
+                );
+                for (receiver, routing) in &call.decided {
+                    if *routing != Routing::SendOmit {
+                        sent[call.sender.index()] += 1;
+                    }
+                    if *routing == Routing::Deliver {
+                        delivered[receiver.index()] += 1;
+                    }
+                }
+            }
+            // By hand: round 1 was all-Deliver; in round 2, p0 delivered to
+            // everyone and p1 lost its edge to p2 to a receive omission.
+            let p2_round2 = &calls[6];
+            assert_eq!(
+                (p2_round2.round, p2_round2.sender),
+                (Round(2), ProcessId(2))
+            );
+            assert_eq!(p2_round2.sent, vec![6, 6, 3, 3]);
+            assert_eq!(p2_round2.delivered, vec![4, 4, 4, 5]);
+            assert_eq!((sent, delivered), (vec![6; 4], vec![6, 6, 5, 6]));
+        }
     }
 
     #[test]

@@ -413,6 +413,20 @@ impl AdaptiveWorstCase {
     pub fn victims(&self) -> &BTreeSet<ProcessId> {
         &self.victims
     }
+
+    /// `true` iff every message `sender` emits in `round` is send-omitted.
+    fn mutes(&self, round: Round, sender: ProcessId) -> bool {
+        round >= self.strike && self.victims.contains(&sender)
+    }
+}
+
+/// The routing of a message from a muted (send-omitting) or free sender.
+fn sender_routing<M>(muted: bool) -> Routing<M> {
+    if muted {
+        Routing::SendOmit
+    } else {
+        Routing::Deliver
+    }
 }
 
 impl<M> FaultModel<M> for AdaptiveWorstCase {
@@ -442,11 +456,19 @@ impl<M> FaultModel<M> for AdaptiveWorstCase {
         _receiver: ProcessId,
         _payload: &M,
     ) -> Routing<M> {
-        if view.round >= self.strike && self.victims.contains(&sender) {
-            Routing::SendOmit
-        } else {
-            Routing::Deliver
-        }
+        sender_routing(self.mutes(view.round, sender))
+    }
+
+    fn route_broadcast(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        mask: &ReceiverMask,
+        _payload: &M,
+        out: &mut Vec<Routing<M>>,
+    ) {
+        let muted = self.mutes(view.round, sender);
+        out.resize_with(out.len() + mask.len(), || sender_routing(muted));
     }
 }
 
@@ -521,11 +543,19 @@ impl<M> FaultModel<M> for MobileOmission {
         _receiver: ProcessId,
         _payload: &M,
     ) -> Routing<M> {
-        if self.active == Some(sender) {
-            Routing::SendOmit
-        } else {
-            Routing::Deliver
-        }
+        sender_routing(self.active == Some(sender))
+    }
+
+    fn route_broadcast(
+        &mut self,
+        _view: ExecutionView<'_>,
+        sender: ProcessId,
+        mask: &ReceiverMask,
+        _payload: &M,
+        out: &mut Vec<Routing<M>>,
+    ) {
+        let muted = self.active == Some(sender);
+        out.resize_with(out.len() + mask.len(), || sender_routing(muted));
     }
 }
 

@@ -31,8 +31,10 @@ const MASK_INLINE_WORDS: usize = 4;
 
 /// A dense set of receiver ids backed by a fixed inline bitset (256 bits)
 /// with a heap spill for larger systems. Ascending-id iteration matches the
-/// slab/`BTreeMap` order the proof machinery relies on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// slab/`BTreeMap` order the proof machinery relies on. Equality compares
+/// the sets, not the storage: trailing all-zero spill words left behind by
+/// [`remove`](ReceiverMask::remove) are invisible.
+#[derive(Clone, Debug, Default)]
 pub struct ReceiverMask {
     lo: [u64; MASK_INLINE_WORDS],
     hi: Vec<u64>,
@@ -67,6 +69,52 @@ impl ReceiverMask {
 
     fn words(&self) -> usize {
         MASK_INLINE_WORDS + self.hi.len()
+    }
+
+    /// Builds the mask of `peers`, which must be distinct, a word at a time:
+    /// consecutive peers in one 64-id word are OR-ed into a local `u64` and
+    /// stored together, and `count` is one popcount pass at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "duplicate message to {peer} in one round" if a peer
+    /// repeats, whether inside one run of same-word peers or across runs.
+    fn from_distinct<I: IntoIterator<Item = ProcessId>>(peers: I) -> Self {
+        let mut mask = ReceiverMask::new();
+        let (mut w, mut bits) = (0usize, 0u64);
+        for peer in peers {
+            let (pw, bit) = (peer.index() / 64, 1u64 << (peer.index() % 64));
+            if pw != w {
+                mask.or_distinct_word(w, bits);
+                (w, bits) = (pw, 0);
+            }
+            assert!(bits & bit == 0, "duplicate message to {peer} in one round");
+            bits |= bit;
+        }
+        mask.or_distinct_word(w, bits);
+        mask.count = mask
+            .lo
+            .iter()
+            .chain(&mask.hi)
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        mask
+    }
+
+    /// ORs `bits` into word `w`, panicking if any of them was already set.
+    /// Leaves `count` stale: [`from_distinct`](Self::from_distinct) recounts.
+    fn or_distinct_word(&mut self, w: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        let word = self.word_mut(w);
+        let repeated = *word & bits;
+        assert!(
+            repeated == 0,
+            "duplicate message to {} in one round",
+            ProcessId(w * 64 + repeated.trailing_zeros() as usize)
+        );
+        *word |= bits;
     }
 
     /// Inserts `id`, returning `true` iff it was not already present.
@@ -145,6 +193,15 @@ impl ReceiverMask {
         }
     }
 }
+
+impl PartialEq for ReceiverMask {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && (0..self.words().max(other.words())).all(|w| self.word(w) == other.word(w))
+    }
+}
+
+impl Eq for ReceiverMask {}
 
 impl FromIterator<ProcessId> for ReceiverMask {
     fn from_iter<I: IntoIterator<Item = ProcessId>>(iter: I) -> Self {
@@ -378,24 +435,20 @@ impl<M: Payload> Outbox<M> {
             }
             return self;
         }
-        let mut mask = ReceiverMask::new();
-        if self.msgs.len == 0 {
+        let mask = if self.msgs.len == 0 {
             // Common case (pure broadcast round): no queued unicasts to
-            // collide with, so only the mask needs checking.
-            for peer in peers {
-                assert!(
-                    mask.insert(peer),
-                    "duplicate message to {peer} in one round"
-                );
-            }
+            // collide with, so the mask is built a word at a time.
+            ReceiverMask::from_distinct(peers)
         } else {
+            let mut mask = ReceiverMask::new();
             for peer in peers {
                 assert!(
                     self.msgs.get(peer).is_none() && mask.insert(peer),
                     "duplicate message to {peer} in one round"
                 );
             }
-        }
+            mask
+        };
         if !mask.is_empty() {
             self.bcast = Some(Broadcast { msg, mask });
         }
@@ -875,6 +928,66 @@ mod tests {
         assert!(!mask.remove(ProcessId(300)));
         assert_eq!(mask.max_id(), Some(ProcessId(3)));
         assert_eq!(mask.len(), 1);
+    }
+
+    #[test]
+    fn receiver_mask_equality_ignores_spill_history() {
+        let mut spilled = ReceiverMask::new();
+        spilled.insert(ProcessId(300));
+        spilled.insert(ProcessId(3));
+        spilled.remove(ProcessId(300));
+        let tight: ReceiverMask = [ProcessId(3)].into_iter().collect();
+        assert_eq!(spilled, tight);
+        assert_eq!(tight, spilled);
+        assert_ne!(spilled, ReceiverMask::new());
+        spilled.remove(ProcessId(3));
+        assert_eq!(spilled, ReceiverMask::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate message")]
+    fn broadcast_rejects_a_repeated_peer_within_one_word() {
+        let mut out = Outbox::new();
+        out.broadcast([ProcessId(3), ProcessId(1), ProcessId(3)], 0u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate message to p300")]
+    fn broadcast_rejects_a_repeated_peer_across_words() {
+        let mut out = Outbox::new();
+        out.broadcast([ProcessId(300), ProcessId(5), ProcessId(300)], 0u8);
+    }
+
+    #[test]
+    fn word_wise_broadcast_mask_matches_per_id_inserts() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x3A5C);
+        for case in 0..64 {
+            let n = if case % 2 == 0 {
+                rng.gen_index(1, 70)
+            } else {
+                rng.gen_index(257, 700)
+            };
+            let density = [0.05, 0.5, 1.0][rng.gen_index(0, 3)];
+            let mut peers: Vec<ProcessId> = ProcessId::all(n)
+                .filter(|_| rng.gen_bool(density))
+                .collect();
+            rng.shuffle(&mut peers);
+            let per_id: ReceiverMask = peers.iter().copied().collect();
+            let mut out = Outbox::new();
+            out.broadcast(peers.iter().copied(), 0u8);
+            let Some((_, mask)) = out.broadcast_part() else {
+                assert!(peers.is_empty());
+                continue;
+            };
+            assert_eq!(*mask, per_id, "n = {n}, {} peers", peers.len());
+            assert_eq!(mask.len(), peers.len());
+            assert_eq!(mask.max_id(), per_id.max_id());
+            assert_eq!(
+                mask.iter().collect::<Vec<_>>(),
+                per_id.iter().collect::<Vec<_>>()
+            );
+            assert!(ProcessId::all(n + 64).all(|p| mask.contains(p) == per_id.contains(p)));
+        }
     }
 
     #[test]

@@ -317,6 +317,11 @@ impl CrashPlan {
             crashes: crashes.into_iter().collect(),
         }
     }
+
+    /// `true` iff `p` has crashed by `round`.
+    fn crashed(&self, round: Round, p: ProcessId) -> bool {
+        self.crashes.get(&p).is_some_and(|from| round >= *from)
+    }
 }
 
 impl<M> FaultModel<M> for CrashPlan {
@@ -331,13 +336,37 @@ impl<M> FaultModel<M> for CrashPlan {
         receiver: ProcessId,
         _: &M,
     ) -> Routing<M> {
-        let crashed = |p: &ProcessId| self.crashes.get(p).is_some_and(|r| view.round >= *r);
-        if crashed(&sender) {
+        if self.crashed(view.round, sender) {
             Routing::SendOmit
-        } else if crashed(&receiver) {
+        } else if self.crashed(view.round, receiver) {
             Routing::ReceiveOmit
         } else {
             Routing::Deliver
+        }
+    }
+
+    fn route_broadcast(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        mask: &ReceiverMask,
+        _: &M,
+        out: &mut Vec<Routing<M>>,
+    ) {
+        // One sender decision for the fan-out; a live sender's edges are
+        // pre-filled Deliver and patched by rank at each crashed receiver.
+        let base = out.len();
+        if self.crashed(view.round, sender) {
+            out.resize_with(base + mask.len(), || Routing::SendOmit);
+            return;
+        }
+        out.resize_with(base + mask.len(), || Routing::Deliver);
+        for (&p, &from) in &self.crashes {
+            if view.round >= from {
+                if let Some(rank) = mask.rank(p) {
+                    out[base + rank] = Routing::ReceiveOmit;
+                }
+            }
         }
     }
 }

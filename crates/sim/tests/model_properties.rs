@@ -9,8 +9,9 @@
 use std::collections::BTreeSet;
 
 use ba_sim::{
-    CrashPlan, ExecutionView, Fate, FaultModel, FnPlan, IsolationPlan, NoFaults, PlannedFaults,
-    ProcessId, RandomOmissionPlan, ReceiverMask, Round, Routing, SimRng, TableOmissionPlan,
+    AdaptiveWorstCase, CrashPlan, ExecutionView, Fate, FaultModel, FnPlan, IsolationPlan,
+    MobileOmission, NoFaults, PlannedFaults, ProcessId, RandomOmissionPlan, ReceiverMask, Round,
+    Routing, SimRng, TableOmissionPlan,
 };
 
 static NOBODY: BTreeSet<ProcessId> = BTreeSet::new();
@@ -191,16 +192,59 @@ fn assert_broadcast_is_per_edge<F: FaultModel<u8>>(
     check(&format!("planned {what}"), case, planned(), planned());
 }
 
-/// Every plan's batched fan-out equals its per-edge routing, with or
+/// `model` after its `begin_round` for `case`, given per-process traffic
+/// `sent`: the corruption state every instance of an adaptive model in one
+/// comparison starts from.
+fn begun<F: FaultModel<u8>>(mut model: F, case: &FanOut, sent: &[u64]) -> F {
+    let view = ExecutionView {
+        sent,
+        delivered: sent,
+        ..view(case.round, case.n)
+    };
+    let _ = model.begin_round(view);
+    model
+}
+
+/// Every model's batched fan-out equals its per-edge routing, with or
 /// without a declared fault set around it.
 #[test]
 fn broadcast_routing_matches_per_edge_route() {
     let mut rng = SimRng::seed_from_u64(0xB0AD);
     let cases = fan_outs(5, 96);
     assert!(cases.iter().any(|c| c.mask.len() > 256));
+    let (mut crashed_senders, mut crashed_receivers) = (0, 0);
+    let (mut adaptive_mutes, mut mobile_mutes) = (0, 0);
     for case in &cases {
         let victims = || case.victims.iter().copied();
         let from = Round(rng.gen_range(1, 6));
+        // Staggered crash rounds, one per victim, around the case's round.
+        let crashes: Vec<(ProcessId, Round)> =
+            victims().map(|p| (p, Round(rng.gen_range(1, 6)))).collect();
+        let crashed = |p: ProcessId| crashes.iter().rev().find(|(q, _)| *q == p);
+        let crashed_by = |p| crashed(p).is_some_and(|(_, r)| r.0 <= case.round);
+        if crashed_by(case.sender) {
+            crashed_senders += 1;
+        } else if case.mask.iter().any(crashed_by) {
+            crashed_receivers += 1;
+        }
+        // Observed traffic for the adaptive models' `begin_round`; the
+        // sender is sometimes the loudest process.
+        let mut sent: Vec<u64> = (0..case.n).map(|_| rng.gen_range(0, 50)).collect();
+        if rng.gen_bool(0.5) {
+            sent[case.sender.index()] = 100;
+        }
+        let budget = case.victims.len();
+        let dwell = rng.gen_range(1, 4);
+        let adaptive = || {
+            begun(
+                AdaptiveWorstCase::striking_at(budget, Round(case.round)),
+                case,
+                &sent,
+            )
+        };
+        let mobile = || begun(MobileOmission::new(victims(), dwell), case, &sent);
+        adaptive_mutes += usize::from(adaptive().victims().contains(&case.sender));
+        mobile_mutes += usize::from(mobile().active() == Some(case.sender));
         let seed = rng.next_u64();
         let (p_send, p_receive) = (rng.gen_f64(0.0, 1.0), rng.gen_f64(0.0, 1.0));
         let mut table = TableOmissionPlan::new();
@@ -212,9 +256,9 @@ fn broadcast_routing_matches_per_edge_route() {
 
         assert_broadcast_is_per_edge("none", case, || NoFaults);
         assert_broadcast_is_per_edge("isolation", case, || IsolationPlan::new(victims(), from));
-        assert_broadcast_is_per_edge("crash", case, || {
-            CrashPlan::new(victims().map(|p| (p, from)))
-        });
+        assert_broadcast_is_per_edge("crash", case, || CrashPlan::new(crashes.iter().copied()));
+        assert_broadcast_is_per_edge("adaptive-worst-case", case, adaptive);
+        assert_broadcast_is_per_edge("mobile", case, mobile);
         assert_broadcast_is_per_edge("random-omission", case, || {
             RandomOmissionPlan::new(victims(), p_send, p_receive, seed)
         });
@@ -229,4 +273,7 @@ fn broadcast_routing_matches_per_edge_route() {
             })
         });
     }
+    // Each sender-decided branch of the overrides ran.
+    assert!(crashed_senders > 0 && crashed_receivers > 0);
+    assert!(adaptive_mutes > 0 && mobile_mutes > 0);
 }
